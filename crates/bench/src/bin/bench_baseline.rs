@@ -53,30 +53,30 @@ const GROUPS: [Group; 4] = [
     Group {
         name: "fig4b",
         run: |cfg, cache| {
-            experiments::fig4b_cached(&[0.5, 0.8], cfg, cache);
+            experiments::fig4b(&[0.5, 0.8], cfg, cache);
         },
     },
     Group {
         name: "fig4c+fig5",
         run: |cfg, cache| {
             let loads = [0.3, 0.5, 0.7];
-            experiments::fig4c_cached(&loads, cfg, cache);
-            experiments::fig5a_cached(&loads, cfg, cache);
-            experiments::fig5b_cached(&loads, cfg, cache);
-            experiments::fig5c_cached(&loads, cfg, cache);
+            experiments::fig4c(&loads, cfg, cache);
+            experiments::fig5a(&loads, cfg, cache);
+            experiments::fig5b(&loads, cfg, cache);
+            experiments::fig5c(&loads, cfg, cache);
         },
     },
     Group {
         name: "fig8a",
         run: |cfg, cache| {
-            experiments::fig8a_cached(&[0.5, 0.8], cfg, cache);
+            experiments::fig8a(&[0.5, 0.8], cfg, cache);
         },
     },
     Group {
         name: "fig8b+fig9",
         run: |cfg, cache| {
-            experiments::fig8b_cached(&[0.3, 0.5, 0.7], cfg, cache);
-            experiments::fig9_cached(cfg, cache);
+            experiments::fig8b(&[0.3, 0.5, 0.7], cfg, cache);
+            experiments::fig9(cfg, cache);
         },
     },
 ];

@@ -138,19 +138,19 @@ fn main() {
     let mut sim_cache = PointCache::new();
 
     if run_fig("fig4b") {
-        timed("fig4b", || emit(experiments::fig4b(loads, &cfg), "fig4b"));
+        timed("fig4b", || emit(experiments::fig4b(loads, &cfg, &mut PointCache::new()), "fig4b"));
     }
     if run_fig("fig4c") {
-        timed("fig4c", || emit(experiments::fig4c_cached(loads_a, &cfg, &mut testbed_cache), "fig4c"));
+        timed("fig4c", || emit(experiments::fig4c(loads_a, &cfg, &mut testbed_cache), "fig4c"));
     }
     if run_fig("fig5a") {
-        timed("fig5a", || emit(experiments::fig5a_cached(loads_a, &cfg, &mut testbed_cache), "fig5a"));
+        timed("fig5a", || emit(experiments::fig5a(loads_a, &cfg, &mut testbed_cache), "fig5a"));
     }
     if run_fig("fig5b") {
-        timed("fig5b", || emit(experiments::fig5b_cached(loads_a, &cfg, &mut testbed_cache), "fig5b"));
+        timed("fig5b", || emit(experiments::fig5b(loads_a, &cfg, &mut testbed_cache), "fig5b"));
     }
     if run_fig("fig5c") {
-        timed("fig5c", || emit(experiments::fig5c_cached(loads_a, &cfg, &mut testbed_cache), "fig5c"));
+        timed("fig5c", || emit(experiments::fig5c(loads_a, &cfg, &mut testbed_cache), "fig5c"));
     }
     if run_fig("fig6") {
         // Two loads suffice for the sensitivity story.
@@ -162,15 +162,15 @@ fn main() {
         timed("fig7", || emit(experiments::fig7(&fanouts, requests, &cfg), "fig7"));
     }
     if run_fig("fig8a") {
-        timed("fig8a", || emit(experiments::fig8a(loads, &cfg), "fig8a"));
+        timed("fig8a", || emit(experiments::fig8a(loads, &cfg, &mut PointCache::new()), "fig8a"));
     }
     if run_fig("fig8b") {
-        timed("fig8b", || emit(experiments::fig8b_cached(loads_a, &cfg, &mut sim_cache), "fig8b"));
+        timed("fig8b", || emit(experiments::fig8b(loads_a, &cfg, &mut sim_cache), "fig8b"));
     }
     if run_fig("fig9") {
         timed("fig9", || {
             println!("## Fig 9 — mice FCT CDFs at 70% load, asymmetric");
-            for (scheme, cdf) in experiments::fig9_cached(&cfg, &mut sim_cache) {
+            for (scheme, cdf) in experiments::fig9(&cfg, &mut sim_cache) {
                 if scheme.ends_with("[quarantined]") {
                     SAW_QUARANTINE.store(true, Ordering::Release);
                 }

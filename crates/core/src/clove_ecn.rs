@@ -14,10 +14,11 @@
 //!   the guest — the one case where the guest should throttle.
 
 use crate::flowlet::{FlowletConfig, FlowletTable};
+use crate::ladder::{self, Ladder, LadderConfig};
 use crate::paths::PathSet;
 use crate::wrr::Wrr;
 use clove_net::packet::{Feedback, Packet};
-use clove_net::types::{FlowKey, HostId};
+use clove_net::types::HostId;
 use clove_sim::{Duration, Time};
 use clove_telemetry::{LadderRung, Trace};
 use rustc_hash::FxHashMap;
@@ -38,37 +39,21 @@ pub struct CloveEcnConfig {
     /// path cut during a transient can only recover when *other* paths get
     /// cut.
     pub recovery_rho: f64,
-    /// When the freshest feedback for a destination is older than this,
-    /// learned weights are considered stale and start decaying toward
-    /// uniform on the data path (degradation ladder, first rung).
-    pub stale_horizon: Duration,
-    /// When the freshest feedback is older than this, weights are not
-    /// trusted at all: new flowlets hash-spread uniformly over the
-    /// discovered ports (Edge-Flowlet behaviour, bottom rung).
-    pub dead_horizon: Duration,
-    /// Decay rate applied while stale (per decay step).
-    pub stale_rho: f64,
-    /// Minimum spacing between stale-decay steps — the decay is applied
-    /// lazily on the data path, so this bounds how fast it can run.
-    pub stale_decay_interval: Duration,
+    /// Degradation ladder for when feedback goes silent (stale horizon
+    /// 16×RTT).
+    pub ladder: LadderConfig,
 }
 
 impl CloveEcnConfig {
     /// Defaults scaled for a base RTT: gap = 1×RTT (the paper's best
-    /// testbed setting, Figure 6), window = 2×RTT. Staleness horizons are
-    /// generous multiples of RTT: feedback normally arrives every ~RTT, so
-    /// 16×RTT of silence means the control loop is broken, and 64×RTT
-    /// means it has been broken long enough to forget everything.
+    /// testbed setting, Figure 6), window = 2×RTT.
     pub fn for_rtt(rtt: Duration) -> CloveEcnConfig {
         CloveEcnConfig {
             flowlet: FlowletConfig::with_gap(rtt),
             weight_cut: 1.0 / 3.0,
             congested_window: rtt * 2,
             recovery_rho: 0.01,
-            stale_horizon: rtt * 16,
-            dead_horizon: rtt * 64,
-            stale_rho: 0.1,
-            stale_decay_interval: rtt * 2,
+            ladder: LadderConfig::for_rtt(rtt, 16),
         }
     }
 }
@@ -77,18 +62,7 @@ impl CloveEcnConfig {
 struct DstState {
     paths: PathSet,
     wrr: Wrr,
-    /// Last time a stale-decay step ran (rate-limits the lazy decay).
-    last_stale_decay: Time,
-    /// Last data-path transmission toward this destination.
-    last_tx: Time,
-    /// Start of the current continuously-transmitting span. Silence is
-    /// only evidence of control-plane trouble while we are sending — an
-    /// idle destination owes us no feedback.
-    silence_base: Time,
-    /// Degradation-ladder rung this destination was last observed on; kept
-    /// current regardless of tracing so trace on/off cannot diverge, and
-    /// consulted only to emit rung-change events.
-    rung: LadderRung,
+    ladder: Ladder,
 }
 
 /// Policy counters.
@@ -126,11 +100,6 @@ impl CloveEcnPolicy {
         CloveEcnPolicy { flowlets: FlowletTable::new(cfg.flowlet), dsts: FxHashMap::default(), stats: CloveEcnStats::default(), cfg, trace: Trace::disabled() }
     }
 
-    /// Fallback port (pre-discovery): hash-spread like plain ECMP.
-    fn fallback_port(flow: &FlowKey, flowlet_id: u64) -> u16 {
-        49152 + (clove_net::hash::hash_tuple(flow, flowlet_id ^ 0xEC4) % 64) as u16
-    }
-
     /// Current weight of `port` toward `dst` (tests/diagnostics).
     pub fn weight(&self, dst: HostId, port: u16) -> Option<f64> {
         self.dsts.get(&dst).and_then(|d| d.wrr.weight(port))
@@ -145,46 +114,19 @@ impl clove_overlay::EdgePolicy for CloveEcnPolicy {
     fn select_port(&mut self, now: Time, dst_hv: HostId, pkt: &mut Packet) -> u16 {
         let dst = self.dsts.entry(dst_hv).or_default();
         let flow = pkt.flow;
-        // Degradation ladder: judge how long the feedback loop toward this
-        // destination has been silent. Never-heard (`None`) is *not* stale —
-        // there is nothing learned to distrust yet — and silence only
-        // accumulates while we keep transmitting: a tx gap past the stale
-        // horizon restarts the clock rather than aging the learned state.
-        if now.saturating_since(dst.last_tx) > self.cfg.stale_horizon {
-            dst.silence_base = now;
-        }
-        dst.last_tx = now;
-        let age = dst.paths.feedback_age(now).map(|a| a.min(now.saturating_since(dst.silence_base)));
-        let dead = matches!(age, Some(a) if a > self.cfg.dead_horizon);
-        let rung = if dead {
-            LadderRung::Dead
-        } else if matches!(age, Some(a) if a > self.cfg.stale_horizon) {
-            LadderRung::Stale
-        } else {
-            LadderRung::Fresh
-        };
-        if rung != dst.rung {
-            self.trace.ladder_transition(now.0, dst_hv.0, dst.rung, rung);
-            dst.rung = rung;
-        }
-        if !dead && matches!(age, Some(a) if a > self.cfg.stale_horizon) && now.saturating_since(dst.last_stale_decay) >= self.cfg.stale_decay_interval {
-            // Stale rung: forget toward uniform, lazily and rate-limited so
-            // a burst of packets cannot fast-forward the decay.
-            dst.wrr.decay_toward_uniform(self.cfg.stale_rho);
-            dst.last_stale_decay = now;
-            self.stats.stale_decays += 1;
-        }
+        let age = dst.paths.feedback_age(now);
+        let (rung, decayed) = dst.ladder.step(&self.cfg.ladder, now, dst_hv, age, &mut dst.wrr, &self.trace);
+        self.stats.stale_decays += u64::from(decayed);
         let DstState { paths, wrr, .. } = dst;
         let stats = &mut self.stats;
         self.flowlets.on_packet(now, flow, |flowlet_id| {
-            if dead && !paths.is_empty() {
-                // Bottom rung: weights are ancient — hash-spread uniformly
-                // over the discovered ports (Edge-Flowlet behaviour).
-                let ports = paths.ports();
-                stats.degraded_picks += 1;
-                return ports[(clove_net::hash::hash_tuple(&flow, flowlet_id ^ 0xDEAD) % ports.len() as u64) as usize];
+            if rung == LadderRung::Dead {
+                if let Some(port) = ladder::dead_pick(paths, &flow, flowlet_id, 0xDEAD) {
+                    stats.degraded_picks += 1;
+                    return port;
+                }
             }
-            wrr.pick().unwrap_or_else(|| Self::fallback_port(&flow, flowlet_id))
+            wrr.pick().unwrap_or_else(|| ladder::fallback_port(&flow, flowlet_id, 0xEC4))
         })
     }
 
@@ -240,8 +182,8 @@ impl clove_overlay::EdgePolicy for CloveEcnPolicy {
         // destroys: the flowlet table and every per-destination record
         // (WRR weights, congestion history, ladder clocks). Cumulative
         // stats survive — they are the experiment ledger, not vswitch
-        // state. Fresh flowlets hash-spread via `fallback_port` until
-        // discovery re-learns paths.
+        // state. Fresh flowlets hash-spread via `ladder::fallback_port`
+        // until discovery re-learns paths.
         self.flowlets.clear();
         self.dsts.clear();
     }
@@ -277,6 +219,7 @@ impl clove_overlay::EdgePolicy for CloveEcnPolicy {
 mod tests {
     use super::*;
     use clove_net::packet::PacketKind;
+    use clove_net::types::FlowKey;
     use clove_overlay::EdgePolicy;
     use rustc_hash::FxHashMap;
 
@@ -526,6 +469,19 @@ mod tests {
         for port in [10, 20, 30, 40] {
             assert_eq!(m[&port], 100);
         }
+    }
+
+    #[test]
+    fn idle_gap_between_bursts_does_not_degrade() {
+        let mut p = policy();
+        // Burst 1 hears feedback; then the destination goes idle far past
+        // the dead horizon; burst 2 (shorter than the stale horizon) finds
+        // the learned weights still trusted — idle silence is not evidence.
+        p.on_feedback(Time::from_micros(10), HostId(1), &Feedback::Ecn { sport: 10, congested: true });
+        let _ = spread(&mut p, 100, Time::ZERO);
+        let _ = spread(&mut p, 1000, Time::from_millis(50));
+        assert_eq!(p.stats.stale_decays, 0);
+        assert_eq!(p.stats.degraded_picks, 0);
     }
 
     #[test]

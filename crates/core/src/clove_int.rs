@@ -14,10 +14,11 @@
 //! spread, reducing reorder probability when paths diverge.
 
 use crate::flowlet::{FlowletConfig, FlowletTable};
+use crate::ladder::{self, Ladder, LadderConfig};
 use crate::paths::PathSet;
 use crate::wrr::Wrr;
 use clove_net::packet::{Feedback, Packet};
-use clove_net::types::{FlowKey, HostId};
+use clove_net::types::HostId;
 use clove_sim::{Duration, Time};
 use clove_telemetry::{LadderRung, Trace};
 use rustc_hash::FxHashMap;
@@ -27,35 +28,21 @@ use rustc_hash::FxHashMap;
 pub struct CloveUtilConfig {
     /// Flowlet detection parameters.
     pub flowlet: FlowletConfig,
-    /// Utilization reports older than this count as zero (stale paths get
-    /// probed again rather than shunned forever).
-    pub stale_after: Duration,
     /// Adaptive flowlet gap (latency variant only): when enabled, the gap
     /// becomes `base_gap + latency_spread` across paths.
     pub adaptive_gap: bool,
-    /// When the *freshest* feedback for a destination is older than this,
-    /// Clove-INT stops trusting utilization entirely and hash-spreads new
-    /// flowlets uniformly (bottom of the degradation ladder). Between
-    /// `stale_after` and this horizon it falls back to ECN-style weighted
-    /// round-robin over the last-known utilizations.
-    pub dead_horizon: Duration,
-    /// Decay rate of the fallback WRR weights toward uniform while stale.
-    pub stale_rho: f64,
-    /// Minimum spacing between lazy stale-decay steps on the data path.
-    pub stale_decay_interval: Duration,
+    /// Clove-INT's degradation ladder (stale horizon 8×RTT). On the stale
+    /// rung it falls back to ECN-style weighted round-robin over the
+    /// last-known utilizations. The stale horizon also ages out single
+    /// utilization reports: older ones count as zero, so stale paths get
+    /// probed again rather than shunned forever.
+    pub ladder: LadderConfig,
 }
 
 impl CloveUtilConfig {
     /// Defaults scaled for a base RTT.
     pub fn for_rtt(rtt: Duration) -> CloveUtilConfig {
-        CloveUtilConfig {
-            flowlet: FlowletConfig::with_gap(rtt),
-            stale_after: rtt * 8,
-            adaptive_gap: false,
-            dead_horizon: rtt * 64,
-            stale_rho: 0.1,
-            stale_decay_interval: rtt * 2,
-        }
+        CloveUtilConfig { flowlet: FlowletConfig::with_gap(rtt), adaptive_gap: false, ladder: LadderConfig::for_rtt(rtt, 8) }
     }
 }
 
@@ -79,15 +66,7 @@ struct IntDstState {
     /// ECN-style fallback scheduler fed from utilization reports — the
     /// middle rung of the degradation ladder.
     wrr: Wrr,
-    last_stale_decay: Time,
-    /// Last data-path transmission toward this destination.
-    last_tx: Time,
-    /// Start of the current continuously-transmitting span (see Clove-ECN:
-    /// silence is only evidence while we are sending).
-    silence_base: Time,
-    /// Last observed degradation-ladder rung (updated regardless of tracing
-    /// so trace on/off cannot diverge; read only to emit rung changes).
-    rung: LadderRung,
+    ladder: Ladder,
 }
 
 /// Clove-INT: new flowlets take the least-utilized discovered path.
@@ -106,10 +85,6 @@ impl CloveIntPolicy {
     pub fn new(cfg: CloveUtilConfig) -> CloveIntPolicy {
         CloveIntPolicy { flowlets: FlowletTable::new(cfg.flowlet), dsts: FxHashMap::default(), stats: CloveUtilStats::default(), cfg, trace: Trace::disabled() }
     }
-
-    fn fallback_port(flow: &FlowKey, flowlet_id: u64) -> u16 {
-        49152 + (clove_net::hash::hash_tuple(flow, flowlet_id ^ 0x147) % 64) as u16
-    }
 }
 
 impl clove_overlay::EdgePolicy for CloveIntPolicy {
@@ -119,52 +94,27 @@ impl clove_overlay::EdgePolicy for CloveIntPolicy {
 
     fn select_port(&mut self, now: Time, dst_hv: HostId, pkt: &mut Packet) -> u16 {
         let dst = self.dsts.entry(dst_hv).or_default();
-        let stale = self.cfg.stale_after;
         let flow = pkt.flow;
-        // Degradation ladder (never-heard counts as fresh — see Clove-ECN):
-        // fresh → least-utilized; stale → ECN-style WRR over the last-known
-        // utilizations; dead → uniform hash-spread, Edge-Flowlet behaviour.
-        // Silence only accumulates while we keep transmitting: a tx gap
-        // past the stale horizon restarts the clock.
-        if now.saturating_since(dst.last_tx) > stale {
-            dst.silence_base = now;
-        }
-        dst.last_tx = now;
-        let age = dst.paths.feedback_age(now).map(|a| a.min(now.saturating_since(dst.silence_base)));
-        let dead = matches!(age, Some(a) if a > self.cfg.dead_horizon);
-        let wrr_tier = !dead && matches!(age, Some(a) if a > stale);
-        let rung = if dead {
-            LadderRung::Dead
-        } else if wrr_tier {
-            LadderRung::Stale
-        } else {
-            LadderRung::Fresh
-        };
-        if rung != dst.rung {
-            self.trace.ladder_transition(now.0, dst_hv.0, dst.rung, rung);
-            dst.rung = rung;
-        }
-        if wrr_tier && now.saturating_since(dst.last_stale_decay) >= self.cfg.stale_decay_interval {
-            dst.wrr.decay_toward_uniform(self.cfg.stale_rho);
-            dst.last_stale_decay = now;
-            self.stats.stale_decays += 1;
-        }
+        // Fresh → least-utilized; stale → WRR over the last-known
+        // utilizations; dead → uniform hash-spread.
+        let age = dst.paths.feedback_age(now);
+        let (rung, decayed) = dst.ladder.step(&self.cfg.ladder, now, dst_hv, age, &mut dst.wrr, &self.trace);
+        self.stats.stale_decays += u64::from(decayed);
+        let stale = self.cfg.ladder.stale_horizon;
         let IntDstState { paths, wrr, .. } = dst;
         let stats = &mut self.stats;
         self.flowlets.on_packet(now, flow, |flowlet_id| {
             stats.flowlets_routed += 1;
-            if dead && !paths.is_empty() {
-                let ports = paths.ports();
+            let degraded = match rung {
+                LadderRung::Dead => ladder::dead_pick(paths, &flow, flowlet_id, 0x1DEAD),
+                LadderRung::Stale => wrr.pick(),
+                LadderRung::Fresh => None,
+            };
+            if let Some(port) = degraded {
                 stats.degraded_picks += 1;
-                return ports[(clove_net::hash::hash_tuple(&flow, flowlet_id ^ 0x1DEAD) % ports.len() as u64) as usize];
+                return port;
             }
-            if wrr_tier {
-                if let Some(port) = wrr.pick() {
-                    stats.degraded_picks += 1;
-                    return port;
-                }
-            }
-            paths.least_utilized(now, stale).unwrap_or_else(|| Self::fallback_port(&flow, flowlet_id))
+            paths.least_utilized(now, stale).unwrap_or_else(|| ladder::fallback_port(&flow, flowlet_id, 0x147))
         })
     }
 
@@ -247,7 +197,7 @@ impl clove_overlay::EdgePolicy for CloveLatencyPolicy {
         let stats = &mut self.stats;
         self.flowlets.on_packet(now, flow, |flowlet_id| {
             stats.flowlets_routed += 1;
-            paths.least_latency().unwrap_or_else(|| 49152 + (clove_net::hash::hash_tuple(&flow, flowlet_id ^ 0x1A7) % 64) as u16)
+            paths.least_latency().unwrap_or_else(|| ladder::fallback_port(&flow, flowlet_id, 0x1A7))
         })
     }
 
@@ -290,6 +240,7 @@ impl clove_overlay::EdgePolicy for CloveLatencyPolicy {
 mod tests {
     use super::*;
     use clove_net::packet::PacketKind;
+    use clove_net::types::FlowKey;
     use clove_overlay::EdgePolicy;
 
     const RTT: Duration = Duration(100_000);
@@ -367,7 +318,7 @@ mod tests {
         p.on_feedback(t, HostId(1), &Feedback::Util { sport: 10, util_pm: 950 });
         p.on_feedback(t, HostId(1), &Feedback::Util { sport: 20, util_pm: 50 });
         p.on_feedback(t, HostId(1), &Feedback::Util { sport: 30, util_pm: 500 });
-        // stale_after = 8×RTT = 800µs; at 2ms the reports are stale but not
+        // stale horizon = 8×RTT = 800µs; at 2ms the reports are stale but not
         // dead (dead_horizon = 6.4ms): ECN-style WRR over last-known utils.
         // Traffic keeps flowing so the silence clock keeps running.
         keep_transmitting(&mut p, Time::from_micros(50), Time::from_micros(2000));
@@ -416,6 +367,20 @@ mod tests {
         let mut a = pkt(9999);
         assert_eq!(p.select_port(t, HostId(1), &mut a), 20);
         assert_eq!(p.stats.degraded_picks, degraded);
+    }
+
+    #[test]
+    fn int_idle_gap_between_bursts_does_not_degrade() {
+        let mut p = CloveIntPolicy::new(CloveUtilConfig::for_rtt(RTT));
+        p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20]);
+        // Burst 1 hears feedback; then the destination goes idle far past
+        // the dead horizon; burst 2 (shorter than the stale horizon) keeps
+        // least-utilized routing — idle silence is not evidence.
+        p.on_feedback(Time::from_micros(10), HostId(1), &Feedback::Util { sport: 10, util_pm: 900 });
+        let _ = spread(&mut p, 100, Time::ZERO);
+        let _ = spread(&mut p, 500, Time::from_millis(50));
+        assert_eq!(p.stats.stale_decays, 0);
+        assert_eq!(p.stats.degraded_picks, 0);
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod clove_ecn;
 pub mod clove_int;
 pub mod discovery;
 pub mod flowlet;
+pub mod ladder;
 pub mod paths;
 pub mod wrr;
 
@@ -42,7 +43,7 @@ pub use paths::PathSet;
 pub use wrr::Wrr;
 
 use clove_net::packet::Packet;
-use clove_net::types::{FlowKey, HostId};
+use clove_net::types::HostId;
 use clove_sim::{SimRng, Time};
 
 /// Edge-Flowlet (paper §3.2): a new pseudo-random outer source port for
@@ -54,21 +55,12 @@ pub struct EdgeFlowletPolicy {
     flowlets: FlowletTable,
     paths: rustc_hash::FxHashMap<HostId, Vec<u16>>,
     rng: SimRng,
-    /// Fallback port span used before discovery has run (hash-spread like
-    /// plain ECMP so behaviour degrades gracefully, per §7 incremental
-    /// deployment).
-    fallback_span: u16,
 }
 
 impl EdgeFlowletPolicy {
     /// Create with the given flowlet gap configuration and RNG seed.
     pub fn new(flowlet: FlowletConfig, seed: u64) -> EdgeFlowletPolicy {
-        EdgeFlowletPolicy { flowlets: FlowletTable::new(flowlet), paths: rustc_hash::FxHashMap::default(), rng: SimRng::new(seed ^ 0xED6E), fallback_span: 64 }
-    }
-
-    fn fallback_port(flow: &FlowKey, flowlet_id: u64, span: u16) -> u16 {
-        let h = clove_net::hash::hash_tuple(flow, flowlet_id ^ 0xF10);
-        49152 + (h % span as u64) as u16
+        EdgeFlowletPolicy { flowlets: FlowletTable::new(flowlet), paths: rustc_hash::FxHashMap::default(), rng: SimRng::new(seed ^ 0xED6E) }
     }
 }
 
@@ -80,11 +72,12 @@ impl clove_overlay::EdgePolicy for EdgeFlowletPolicy {
     fn select_port(&mut self, now: Time, dst_hv: HostId, pkt: &mut Packet) -> u16 {
         let ports = self.paths.get(&dst_hv);
         let rng = &mut self.rng;
-        let span = self.fallback_span;
         let flow = pkt.flow;
         self.flowlets.on_packet(now, flow, |flowlet_id| match ports {
             Some(ports) if !ports.is_empty() => ports[rng.below(ports.len() as u64) as usize],
-            _ => Self::fallback_port(&flow, flowlet_id, span),
+            // Before discovery: hash-spread like plain ECMP so behaviour
+            // degrades gracefully (§7 incremental deployment).
+            _ => ladder::fallback_port(&flow, flowlet_id, 0xF10),
         })
     }
 
@@ -114,6 +107,7 @@ impl clove_overlay::EdgePolicy for EdgeFlowletPolicy {
 mod tests {
     use super::*;
     use clove_net::packet::PacketKind;
+    use clove_net::types::FlowKey;
     use clove_overlay::EdgePolicy;
     use clove_sim::Duration;
 

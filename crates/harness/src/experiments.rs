@@ -508,34 +508,19 @@ pub fn sim_schemes() -> Vec<Scheme> {
 }
 
 /// Figure 4b: symmetric topology, average FCT vs load.
-pub fn fig4b(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig4b_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig4b`] reusing a shared run cache.
-pub fn fig4b_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
+pub fn fig4b(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure("Fig 4b — testbed symmetric, avg FCT (s)", TopologyKind::Symmetric, &testbed_schemes(TopologyKind::Symmetric), loads, cfg, cache, |s| s.avg())
 }
 
 /// Figure 4c: asymmetric topology, average FCT vs load.
-pub fn fig4c(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig4c_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig4c`] reusing a shared run cache.
-pub fn fig4c_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
+pub fn fig4c(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure("Fig 4c — testbed asymmetric, avg FCT (s)", TopologyKind::Asymmetric, &testbed_schemes(TopologyKind::Asymmetric), loads, cfg, cache, |s| {
         s.avg()
     })
 }
 
 /// Figure 5a: asymmetric, average FCT of mice (<100 KB) vs load.
-pub fn fig5a(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig5a_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig5a`] reusing a shared run cache.
-pub fn fig5a_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
+pub fn fig5a(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure(
         "Fig 5a — asymmetric, mice (<100KB) avg FCT (s)",
         TopologyKind::Asymmetric,
@@ -548,12 +533,7 @@ pub fn fig5a_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> F
 }
 
 /// Figure 5b: asymmetric, average FCT of elephants (>10 MB) vs load.
-pub fn fig5b(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig5b_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig5b`] reusing a shared run cache.
-pub fn fig5b_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
+pub fn fig5b(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure(
         "Fig 5b — asymmetric, elephants (>10MB) avg FCT (s)",
         TopologyKind::Asymmetric,
@@ -566,12 +546,7 @@ pub fn fig5b_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> F
 }
 
 /// Figure 5c: asymmetric, 99th-percentile FCT vs load.
-pub fn fig5c(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig5c_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig5c`] reusing a shared run cache.
-pub fn fig5c_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
+pub fn fig5c(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure("Fig 5c — asymmetric, p99 FCT (s)", TopologyKind::Asymmetric, &testbed_schemes(TopologyKind::Asymmetric), loads, cfg, cache, |s| s.p99())
 }
 
@@ -689,22 +664,12 @@ pub fn fig7(fanouts: &[u32], requests: u32, cfg: &ExpConfig) -> FigureTable {
 }
 
 /// Figure 8a: simulation scheme set, symmetric topology, avg FCT vs load.
-pub fn fig8a(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig8a_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig8a`] reusing a shared run cache.
-pub fn fig8a_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
+pub fn fig8a(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure("Fig 8a — sim symmetric, avg FCT (s)", TopologyKind::Symmetric, &sim_schemes(), loads, cfg, cache, |s| s.avg())
 }
 
 /// Figure 8b: simulation scheme set, asymmetric topology, avg FCT vs load.
-pub fn fig8b(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig8b_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig8b`] reusing a shared run cache.
-pub fn fig8b_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
+pub fn fig8b(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure("Fig 8b — sim asymmetric, avg FCT (s)", TopologyKind::Asymmetric, &sim_schemes(), loads, cfg, cache, |s| s.avg())
 }
 
@@ -712,12 +677,7 @@ pub fn fig8b_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> F
 /// ECMP, Clove-ECN, CONGA. Returns `(scheme, cdf points)` triples; a
 /// quarantined scheme yields an empty point list and a `[quarantined]`
 /// label suffix rather than aborting the figure.
-pub fn fig9(cfg: &ExpConfig) -> Vec<(String, Vec<(f64, f64)>)> {
-    fig9_cached(cfg, &mut PointCache::new())
-}
-
-/// [`fig9`] reusing a shared run cache.
-pub fn fig9_cached(cfg: &ExpConfig, cache: &mut PointCache) -> Vec<(String, Vec<(f64, f64)>)> {
+pub fn fig9(cfg: &ExpConfig, cache: &mut PointCache) -> Vec<(String, Vec<(f64, f64)>)> {
     let schemes = [Scheme::Ecmp, Scheme::CloveEcn, Scheme::Conga];
     cache.prefetch(&schemes, TopologyKind::Asymmetric, &[0.7], cfg);
     schemes

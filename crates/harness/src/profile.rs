@@ -75,14 +75,6 @@ pub struct Profile {
     /// Clove-ECN weight drift toward uniform per feedback event
     /// (ablation knob; 0 = the paper's literal redistribution only).
     pub clove_recovery_rho: f64,
-    /// Degradation ladder, first rung: learned path weights start decaying
-    /// toward uniform once the freshest feedback for a destination is older
-    /// than this many loaded RTTs.
-    pub stale_horizon_rtts: u64,
-    /// Degradation ladder, bottom rung: weights are abandoned for uniform
-    /// hash-spread once the freshest feedback is older than this many
-    /// loaded RTTs.
-    pub dead_horizon_rtts: u64,
 }
 
 impl Default for Profile {
@@ -113,8 +105,6 @@ impl Default for Profile {
             warmup: Duration::from_millis(3),
             dsack_undo: true,
             clove_recovery_rho: 0.01,
-            stale_horizon_rtts: 16,
-            dead_horizon_rtts: 64,
         }
     }
 }

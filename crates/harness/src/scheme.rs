@@ -202,14 +202,11 @@ impl Scheme {
                 let mut cfg = CloveEcnConfig::for_rtt(profile.loaded_rtt);
                 cfg.flowlet = clove_core::FlowletConfig::with_gap(gap);
                 cfg.recovery_rho = profile.clove_recovery_rho;
-                cfg.stale_horizon = profile.loaded_rtt * profile.stale_horizon_rtts;
-                cfg.dead_horizon = profile.loaded_rtt * profile.dead_horizon_rtts;
                 Box::new(CloveEcnPolicy::new(cfg))
             }
             Scheme::CloveInt => {
                 let mut cfg = CloveUtilConfig::for_rtt(profile.loaded_rtt);
                 cfg.flowlet = clove_core::FlowletConfig::with_gap(gap);
-                cfg.dead_horizon = profile.loaded_rtt * profile.dead_horizon_rtts;
                 Box::new(CloveIntPolicy::new(cfg))
             }
             Scheme::CloveLatency { adaptive_gap } => {

@@ -4,7 +4,7 @@
 //! in `clove-sim` (identical pop sequences) this pins `--queue heap` as a
 //! true differential-testing oracle for the wheel.
 
-use clove_harness::experiments::{self, ExpConfig};
+use clove_harness::experiments::{self, ExpConfig, PointCache};
 use clove_harness::scenario::{Scenario, TopologyKind};
 use clove_harness::Scheme;
 use clove_sim::QueueBackend;
@@ -17,8 +17,8 @@ fn smoke() -> ExpConfig {
 #[test]
 fn fig4c_csv_identical_wheel_vs_heap() {
     let loads = [0.5];
-    let wheel = experiments::fig4c(&loads, &smoke().with_queue(QueueBackend::Wheel));
-    let heap = experiments::fig4c(&loads, &smoke().with_queue(QueueBackend::Heap));
+    let wheel = experiments::fig4c(&loads, &smoke().with_queue(QueueBackend::Wheel), &mut PointCache::new());
+    let heap = experiments::fig4c(&loads, &smoke().with_queue(QueueBackend::Heap), &mut PointCache::new());
     assert_eq!(wheel.to_csv(), heap.to_csv());
 }
 
