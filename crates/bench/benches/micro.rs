@@ -76,8 +76,8 @@ fn bench_wrr_and_policy(c: &mut Criterion) {
 fn bench_event_queue(c: &mut Criterion) {
     // Both backends on identical streams: the wheel/heap gap measured here
     // is the budget behind bench_baseline's regression floor.
-    for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-        c.bench_function(&format!("event_queue_push_pop_1k_{}", backend.name()), |b| {
+    for (backend, name) in [(QueueBackend::Wheel, "wheel"), (QueueBackend::Heap, "heap")] {
+        c.bench_function(&format!("event_queue_push_pop_1k_{name}"), |b| {
             b.iter(|| {
                 let mut q: EventQueue<u64> = EventQueue::with_capacity_and_backend(1024, backend);
                 for i in 0..1000u64 {
@@ -93,7 +93,7 @@ fn bench_event_queue(c: &mut Criterion) {
         // The pre-sizing story: one pre-sized queue reused via clear()
         // across a 1M-event stream, the shape `event_capacity_hint`
         // optimizes for.
-        c.bench_function(&format!("event_queue_push_pop_1M_{}", backend.name()), |b| {
+        c.bench_function(&format!("event_queue_push_pop_1M_{name}"), |b| {
             let mut q: EventQueue<u64> = EventQueue::with_capacity_and_backend(1 << 20, backend);
             b.iter(|| {
                 q.clear();
@@ -109,7 +109,7 @@ fn bench_event_queue(c: &mut Criterion) {
         });
         // Simulator-shaped load: a sliding window of pending events where
         // pops interleave with near-future pushes (the wheel's fast path).
-        c.bench_function(&format!("event_queue_sliding_window_{}", backend.name()), |b| {
+        c.bench_function(&format!("event_queue_sliding_window_{name}"), |b| {
             let mut q: EventQueue<u64> = EventQueue::with_capacity_and_backend(4096, backend);
             b.iter(|| {
                 q.clear();

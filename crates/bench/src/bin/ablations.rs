@@ -3,7 +3,7 @@
 //! Ablation studies for the design choices DESIGN.md §7 calls out.
 //!
 //! ```text
-//! cargo run --release -p clove-bench --bin ablations [--quick] [--jobs N] [--queue wheel|heap]
+//! cargo run --release -p clove-bench --bin ablations [--quick] [--jobs N]
 //! ```
 //!
 //! Each ablation flips one calibration decision and reports Clove-ECN's
@@ -28,7 +28,7 @@
 use clove_harness::orchestrator::{self, CellOutcome, ExecPolicy};
 use clove_harness::scenario::{Scenario, TopologyKind};
 use clove_harness::{Journal, Scheme};
-use clove_sim::{Duration, QueueBackend, RunControl, Time};
+use clove_sim::{Duration, RunControl, Time};
 use clove_workload::web_search;
 use std::sync::Arc;
 
@@ -39,12 +39,11 @@ struct Ablation {
     tweak: fn(&mut Scenario),
 }
 
-fn run(cell: &Ablation, jobs_per_conn: u32, queue: QueueBackend, control: &Arc<RunControl>) -> String {
+fn run(cell: &Ablation, jobs_per_conn: u32, control: &Arc<RunControl>) -> String {
     let mut s = Scenario::new(Scheme::CloveEcn, TopologyKind::Asymmetric, 0.6, 4040);
     s.jobs_per_conn = jobs_per_conn;
     s.conns_per_client = 2;
     s.horizon = Time::from_secs(30);
-    s.queue = queue;
     s.control = Some(Arc::clone(control));
     (cell.tweak)(&mut s);
     let out = s.run_rpc(&web_search());
@@ -76,27 +75,11 @@ fn parse_jobs(args: &[String]) -> usize {
     1
 }
 
-/// Parse `--queue wheel|heap` / `--queue=...` (default: timing wheel).
-fn parse_queue(args: &[String]) -> QueueBackend {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let v = if a == "--queue" { it.next().map(String::as_str) } else { a.strip_prefix("--queue=") };
-        if let Some(v) = v {
-            return v.parse().unwrap_or_else(|e| {
-                eprintln!("ablations: {e}");
-                std::process::exit(2);
-            });
-        }
-    }
-    QueueBackend::default()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let resume = args.iter().any(|a| a == "--resume");
     let jobs = parse_jobs(&args);
-    let queue = parse_queue(&args);
     let jobs_per_conn = if quick { 20 } else { 100 };
     let journal = match Journal::open("results/.journal/ablations", resume) {
         Ok(j) => Some(j),
@@ -144,7 +127,7 @@ fn main() {
         None, // five near-identical Clove-ECN runs: uniform cost
         journal.as_ref().map(|j| (j, "ablations")),
         |cell: &Ablation| format!("ablation|{}|jpc{}", cell.label, jobs_per_conn),
-        |cell, control| run(cell, jobs_per_conn, queue, control),
+        |cell, control| run(cell, jobs_per_conn, control),
     );
     let mut quarantined = 0u32;
     for (cell, outcome) in cells.iter().zip(outcomes) {

@@ -3,7 +3,7 @@
 //! Wall-clock baseline for the figure suite: serial vs. parallel.
 //!
 //! ```text
-//! cargo run --release -p clove-bench --bin bench_baseline -- [--jobs N] [--out FILE] [--check FILE] [--queue wheel|heap]
+//! cargo run --release -p clove-bench --bin bench_baseline -- [--jobs N] [--out FILE] [--check FILE]
 //! ```
 //!
 //! Runs each smoke-scale figure group twice — `--jobs 1` and `--jobs N`
@@ -21,9 +21,6 @@
 //! previously committed report and exits non-zero if aggregate
 //! events/sec regressed by more than 15% — the CI `bench-smoke` gate.
 //!
-//! `--queue heap` times the legacy binary-heap backend instead of the
-//! timing wheel (the committed baseline is always the wheel).
-//!
 //! Completed groups (their measured samples, timing included) are
 //! checkpointed to `results/.journal/bench/`; `--resume` serves groups an
 //! earlier interrupted invocation already timed, so only the remainder
@@ -35,7 +32,7 @@ use clove_harness::json::Json;
 use clove_harness::scenario::{Scenario, TopologyKind};
 use clove_harness::{write_atomic, Journal, Scheme};
 use clove_net::EVENT_KIND_NAMES;
-use clove_sim::{QueueBackend, QueueProfile, Time};
+use clove_sim::{QueueProfile, Time};
 use clove_telemetry::LoopProfile;
 use clove_workload::web_search;
 use std::path::Path;
@@ -126,10 +123,10 @@ fn pair_decode(text: &str) -> Option<(Sample, Sample)> {
     Some((sample_from_json(doc.get("serial")?)?, sample_from_json(doc.get("parallel")?)?))
 }
 
-fn time_group(group: &Group, jobs: usize, queue: QueueBackend) -> Sample {
+fn time_group(group: &Group, jobs: usize) -> Sample {
     // Smoke scale: big enough that events/sec is stable, small enough for
     // CI. Seeds=2 so the seed axis parallelizes too.
-    let cfg = ExpConfig { jobs_per_conn: 8, conns_per_client: 1, seeds: 2, horizon_secs: 10, jobs, strict: false, queue, ..ExpConfig::quick() };
+    let cfg = ExpConfig { jobs_per_conn: 8, conns_per_client: 1, seeds: 2, horizon_secs: 10, jobs, strict: false, ..ExpConfig::quick() };
     let mut cache = PointCache::new();
     let start = Instant::now();
     (group.run)(&cfg, &mut cache);
@@ -160,7 +157,7 @@ fn loop_profile_json(profile: &LoopProfile) -> Json {
 /// histogram is the measured distribution the timing wheel's level
 /// geometry (8-bit slots, 6 levels) is sized against; the loop profile
 /// shows where the event loop's sim-time goes per event kind.
-fn event_mix(queue: QueueBackend) -> Json {
+fn event_mix() -> Json {
     let cells: [(&str, Scheme, TopologyKind, f64); 4] = [
         ("ecmp-sym-50", Scheme::Ecmp, TopologyKind::Symmetric, 0.5),
         ("clove-ecn-asym-70", Scheme::CloveEcn, TopologyKind::Asymmetric, 0.7),
@@ -176,7 +173,6 @@ fn event_mix(queue: QueueBackend) -> Json {
         s.jobs_per_conn = 8;
         s.conns_per_client = 1;
         s.horizon = Time::from_secs(10);
-        s.queue = queue;
         let out = s.run_rpc(&dist);
         let profile = out.queue_profile;
         per_cell.push((
@@ -219,13 +215,6 @@ fn main() {
     let jobs = parse_flag(&args, "--jobs").and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or_else(|| cpus.max(2));
     let out_path = parse_flag(&args, "--out").unwrap_or("BENCH_baseline.json").to_string();
     let check_path = parse_flag(&args, "--check").map(str::to_string);
-    let queue: QueueBackend = match parse_flag(&args, "--queue").map(str::parse).transpose() {
-        Ok(q) => q.unwrap_or_default(),
-        Err(e) => {
-            eprintln!("bench_baseline: {e}");
-            std::process::exit(2);
-        }
-    };
     let resume = args.iter().any(|a| a == "--resume");
     let journal = match Journal::open("results/.journal/bench", resume) {
         Ok(j) => Some(j),
@@ -235,16 +224,16 @@ fn main() {
         }
     };
 
-    eprintln!("bench_baseline: {cpus} cpu(s), {} backend, comparing --jobs 1 vs --jobs {jobs}", queue.name());
+    eprintln!("bench_baseline: {cpus} cpu(s), comparing --jobs 1 vs --jobs {jobs}");
     let groups_start = Instant::now();
     let mut figures = Vec::new();
     let (mut serial_wall, mut parallel_wall, mut serial_events) = (0.0f64, 0.0f64, 0u64);
     for group in &GROUPS {
-        let key = format!("{}|jobs{}|{}", group.name, jobs, queue.name());
+        let key = format!("{}|jobs{}", group.name, jobs);
         let checkpoint = journal.as_ref().and_then(|j| j.load::<String>("bench", &key)).and_then(|text| pair_decode(&text));
         let resumed = checkpoint.is_some();
         let (serial, parallel) = checkpoint.unwrap_or_else(|| {
-            let pair = (time_group(group, 1, queue), time_group(group, jobs, queue));
+            let pair = (time_group(group, 1), time_group(group, jobs));
             if let Some(j) = &journal {
                 j.store("bench", &key, &pair_encode(&pair.0, &pair.1));
             }
@@ -275,14 +264,13 @@ fn main() {
 
     eprintln!("bench_baseline: profiling the event mix");
     let mix_start = Instant::now();
-    let mix = event_mix(queue);
+    let mix = event_mix();
     let event_mix_wall_s = mix_start.elapsed().as_secs_f64();
     eprintln!("bench_baseline: phases — groups {groups_wall_s:.3}s, event-mix {event_mix_wall_s:.3}s");
 
     let report = Json::Obj(vec![
         ("cpus".to_string(), Json::Num(cpus as f64)),
         ("jobs".to_string(), Json::Num(jobs as f64)),
-        ("queue".to_string(), Json::Str(queue.name().to_string())),
         (
             "figures".to_string(),
             Json::Arr(

@@ -15,7 +15,7 @@ fn main() {
                 Scheme::EdgeFlowlet,
                 Scheme::CloveEcn,
                 Scheme::CloveInt,
-                Scheme::Presto { oracle_weights: presto_oracle_weights(topo) },
+                Scheme::Presto { weights: presto_oracle_weights(topo) },
                 Scheme::Mptcp { subflows: 4 },
                 Scheme::Conga,
                 Scheme::LetFlow,

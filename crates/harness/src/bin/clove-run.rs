@@ -3,12 +3,12 @@
 //! Run a Clove experiment described by a JSON file, or a chaos-fuzz campaign.
 //!
 //! ```text
-//! clove-run <spec.json> [--jobs N] [--strict] [--resume] [--queue wheel|heap]
-//!           [--trace FILE]           # prints a RunReport as JSON on stdout
+//! clove-run <spec.json> [--jobs N] [--strict] [--resume] [--trace FILE]
+//!                                    # prints a RunReport as JSON on stdout
 //! clove-run chaos [--runs N] [--seed S] [--jobs N] [--shrink-budget B] [--out FILE]
 //!                                    # fuzz fault timelines against the invariants
 //! clove-run trace-check <trace.jsonl>  # validate a --trace dump's schema
-//! clove-run --example                # prints a commented example spec
+//! clove-run --example                # prints an example spec, every field explicit
 //! ```
 //!
 //! `--jobs N` fans the spec's `seeds` (or the chaos iterations) out over N
@@ -19,10 +19,6 @@
 //! `--resume` re-serves seeds already completed by an earlier interrupted
 //! invocation from the checkpoint journal at `results/.journal/clove-run/`;
 //! without it the journal is wiped and every seed re-executes.
-//!
-//! `--queue heap` swaps the timing-wheel event queue for the legacy
-//! binary heap (differential oracle; reports are byte-identical under
-//! either backend).
 //!
 //! `--trace FILE` additionally captures the structured decision trace
 //! (flowlet lifecycle, weight updates, ECN marks, ladder transitions,
@@ -38,7 +34,7 @@
 
 use clove_harness::chaos::{run_chaos, ChaosConfig};
 use clove_harness::config::ScenarioSpec;
-use clove_harness::{check_trace_jsonl, write_atomic, Journal};
+use clove_harness::{check_trace_jsonl, write_atomic, Journal, Scheme, TopologyKind};
 use std::path::Path;
 
 /// Parse `--flag N` / `--flag=N`.
@@ -109,7 +105,7 @@ fn trace_check_main(args: &[String]) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let jobs = parse_jobs(&args);
-    let value_flags = ["--jobs", "--runs", "--seed", "--shrink-budget", "--out", "--queue", "--trace"];
+    let value_flags = ["--jobs", "--runs", "--seed", "--shrink-budget", "--out", "--trace"];
     let arg = args
         .iter()
         .enumerate()
@@ -127,19 +123,8 @@ fn main() {
     }
     if arg == "--example" || arg.is_empty() {
         eprintln!("usage: clove-run <spec.json> | chaos | trace-check <trace.jsonl> | --example");
-        println!(
-            "{{
-  \"scheme\": {{ \"name\": \"clove-ecn\" }},
-  \"topology\": {{ \"kind\": \"asymmetric\" }},
-  \"load\": 0.7,
-  \"workload\": \"web-search\",
-  \"jobs_per_conn\": 100,
-  \"conns_per_client\": 2,
-  \"seed\": 42,
-  \"seeds\": 1,
-  \"horizon_secs\": 30
-}}"
-        );
+        let example = ScenarioSpec { jobs_per_conn: 100, seed: 42, ..ScenarioSpec::new(Scheme::CloveEcn, TopologyKind::Asymmetric, 0.7) };
+        println!("{}", example.to_json().render_pretty());
         std::process::exit(if arg.is_empty() { 2 } else { 0 });
     }
     let text = match std::fs::read_to_string(&arg) {
@@ -158,15 +143,6 @@ fn main() {
     };
     if args.iter().any(|a| a == "--strict") {
         spec.strict = true;
-    }
-    if let Some(v) = parse_flag(&args, "--queue") {
-        spec.queue = match v.parse() {
-            Ok(q) => q,
-            Err(e) => {
-                eprintln!("clove-run: {e}");
-                std::process::exit(2);
-            }
-        };
     }
     if let Some(trace_path) = parse_flag(&args, "--trace") {
         // Trace runs bypass the journal: a resumed seed has no trace buffer

@@ -5,6 +5,15 @@
 //! binary. [`RunReport`] is its JSON output (summary numbers only; full
 //! CDFs via the `cdf_points` knob). Parsing and rendering go through the
 //! in-tree [`crate::json`] module so the workspace builds fully offline.
+//!
+//! The spec holds a [`Scheme`] and a [`TopologyKind`] directly; this module
+//! is their one JSON codec. Accepted scheme names (`{"name": …}`, extra
+//! fields in parentheses): `ecmp`, `edge-flowlet`, `clove-ecn`, `clove-int`,
+//! `clove-latency` (`adaptive_gap`), `presto` (`weights`), `mptcp`
+//! (`subflows`), `conga`, `let-flow`, `hula`, `ecmp-dctcp`,
+//! `clove-ecn-dctcp`, `clove-ecn-non-overlay` and `incremental`
+//! (`clove_hosts`). Accepted topology kinds (`{"kind": …}`): `symmetric`,
+//! `asymmetric` and `fat-tree` (`k`).
 
 use crate::journal::{Journal, JournalValue};
 use crate::json::Json;
@@ -12,61 +21,74 @@ use crate::orchestrator::{self, CellOutcome, ExecPolicy};
 use crate::profile::Profile;
 use crate::scenario::{Scenario, TopologyKind};
 use crate::scheme::Scheme;
-use clove_sim::{Duration, QueueBackend, Time};
+use clove_sim::{Duration, Time};
 use clove_workload::{data_mining, enterprise, web_search, FlowSizeDist};
 use std::sync::Arc;
 
-/// JSON-facing scheme name (`{"name": "clove-ecn", ...}`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SchemeSpec {
-    /// Static flow hashing.
-    Ecmp,
-    /// Random port per flowlet.
-    EdgeFlowlet,
-    /// Clove with ECN feedback.
-    CloveEcn,
-    /// Clove with INT feedback.
-    CloveInt,
-    /// Clove with latency feedback.
-    CloveLatency {
-        /// Enable the adaptive flowlet gap.
-        adaptive_gap: bool,
-    },
-    /// Presto with optional static path weights.
-    Presto {
-        /// Oracle weights per discovered path.
-        weights: Option<Vec<f64>>,
-    },
-    /// MPTCP with k subflows.
-    Mptcp {
-        /// Subflow count (paper: 4).
-        subflows: usize,
-    },
-    /// CONGA in the switches.
-    Conga,
-    /// LetFlow in the switches.
-    LetFlow,
-    /// HULA in the switches.
-    Hula,
-    /// Partial Clove deployment.
-    Incremental {
-        /// Number of Clove-enabled hypervisors.
-        clove_hosts: u32,
-    },
+/// One value of every [`Scheme`] variant: the parser looks a spec name up
+/// here, then reads that variant's own fields.
+const SCHEME_VARIANTS: [Scheme; 14] = [
+    Scheme::Ecmp,
+    Scheme::EdgeFlowlet,
+    Scheme::CloveEcn,
+    Scheme::CloveInt,
+    Scheme::CloveLatency { adaptive_gap: false },
+    Scheme::Presto { weights: None },
+    Scheme::Mptcp { subflows: 0 },
+    Scheme::Conga,
+    Scheme::LetFlow,
+    Scheme::Hula,
+    Scheme::EcmpDctcp,
+    Scheme::CloveEcnDctcp,
+    Scheme::CloveEcnNonOverlay,
+    Scheme::Incremental { clove_hosts: 0 },
+];
+
+/// One value of every [`TopologyKind`] variant (see [`SCHEME_VARIANTS`]).
+const TOPOLOGY_VARIANTS: [TopologyKind; 3] = [TopologyKind::Symmetric, TopologyKind::Asymmetric, TopologyKind::FatTree { k: 0 }];
+
+/// Narrow a spec integer to the field's type, naming the field when the
+/// value does not fit instead of wrapping it.
+fn narrow<T: TryFrom<u64>>(field: &str, x: u64) -> Result<T, String> {
+    T::try_from(x).map_err(|_| format!("'{field}' out of range: {x}"))
 }
 
-impl SchemeSpec {
-    /// Parse from the tagged-object form, e.g. `{"name":"mptcp","subflows":4}`.
-    pub fn from_json(v: &Json) -> Result<SchemeSpec, String> {
+/// A required integer field of a tagged object (`owner` names the object
+/// in errors).
+fn required_int<T: TryFrom<u64>>(v: &Json, owner: &str, field: &str) -> Result<T, String> {
+    let x = v.get(field).and_then(Json::as_u64).ok_or_else(|| format!("{owner}: missing integer field '{field}'"))?;
+    narrow(field, x)
+}
+
+impl Scheme {
+    /// The scheme's spec name (`{"name": …}`).
+    fn spec_name(&self) -> &'static str {
+        match self {
+            Scheme::Ecmp => "ecmp",
+            Scheme::EdgeFlowlet => "edge-flowlet",
+            Scheme::CloveEcn => "clove-ecn",
+            Scheme::CloveInt => "clove-int",
+            Scheme::CloveLatency { .. } => "clove-latency",
+            Scheme::Presto { .. } => "presto",
+            Scheme::Mptcp { .. } => "mptcp",
+            Scheme::Conga => "conga",
+            Scheme::LetFlow => "let-flow",
+            Scheme::Hula => "hula",
+            Scheme::EcmpDctcp => "ecmp-dctcp",
+            Scheme::CloveEcnDctcp => "clove-ecn-dctcp",
+            Scheme::CloveEcnNonOverlay => "clove-ecn-non-overlay",
+            Scheme::Incremental { .. } => "incremental",
+        }
+    }
+
+    /// Parse the tagged-object form, e.g. `{"name":"mptcp","subflows":4}`.
+    pub(crate) fn from_json(v: &Json) -> Result<Scheme, String> {
         let name = v.get("name").and_then(Json::as_str).ok_or_else(|| "scheme: missing string field 'name'".to_string())?;
-        match name {
-            "ecmp" => Ok(SchemeSpec::Ecmp),
-            "edge-flowlet" => Ok(SchemeSpec::EdgeFlowlet),
-            "clove-ecn" => Ok(SchemeSpec::CloveEcn),
-            "clove-int" => Ok(SchemeSpec::CloveInt),
-            "clove-latency" => Ok(SchemeSpec::CloveLatency { adaptive_gap: v.get("adaptive_gap").and_then(Json::as_bool).unwrap_or(false) }),
-            "presto" => {
-                let weights = match v.get("weights") {
+        let variant = SCHEME_VARIANTS.iter().find(|s| s.spec_name() == name).ok_or_else(|| format!("unknown scheme name '{name}'"))?;
+        Ok(match variant {
+            Scheme::CloveLatency { .. } => Scheme::CloveLatency { adaptive_gap: v.get("adaptive_gap").and_then(Json::as_bool).unwrap_or(false) },
+            Scheme::Presto { .. } => Scheme::Presto {
+                weights: match v.get("weights") {
                     None | Some(Json::Null) => None,
                     Some(w) => Some(
                         w.as_array()
@@ -75,125 +97,58 @@ impl SchemeSpec {
                             .map(|x| x.as_f64().ok_or_else(|| "presto: weights must be numbers".to_string()))
                             .collect::<Result<Vec<f64>, String>>()?,
                     ),
-                };
-                Ok(SchemeSpec::Presto { weights })
-            }
-            "mptcp" => Ok(SchemeSpec::Mptcp {
-                subflows: v.get("subflows").and_then(Json::as_u64).ok_or_else(|| "mptcp: missing integer field 'subflows'".to_string())? as usize,
-            }),
-            "conga" => Ok(SchemeSpec::Conga),
-            "let-flow" => Ok(SchemeSpec::LetFlow),
-            "hula" => Ok(SchemeSpec::Hula),
-            "incremental" => Ok(SchemeSpec::Incremental {
-                clove_hosts: v.get("clove_hosts").and_then(Json::as_u64).ok_or_else(|| "incremental: missing integer field 'clove_hosts'".to_string())? as u32,
-            }),
-            other => Err(format!("unknown scheme name '{other}'")),
-        }
+                },
+            },
+            Scheme::Mptcp { .. } => Scheme::Mptcp { subflows: required_int(v, name, "subflows")? },
+            Scheme::Incremental { .. } => Scheme::Incremental { clove_hosts: required_int(v, name, "clove_hosts")? },
+            unit => unit.clone(),
+        })
     }
 
-    /// Render back to the tagged-object form.
-    pub fn to_json(&self) -> Json {
-        let mut fields = Vec::new();
-        let name = match self {
-            SchemeSpec::Ecmp => "ecmp",
-            SchemeSpec::EdgeFlowlet => "edge-flowlet",
-            SchemeSpec::CloveEcn => "clove-ecn",
-            SchemeSpec::CloveInt => "clove-int",
-            SchemeSpec::CloveLatency { .. } => "clove-latency",
-            SchemeSpec::Presto { .. } => "presto",
-            SchemeSpec::Mptcp { .. } => "mptcp",
-            SchemeSpec::Conga => "conga",
-            SchemeSpec::LetFlow => "let-flow",
-            SchemeSpec::Hula => "hula",
-            SchemeSpec::Incremental { .. } => "incremental",
-        };
-        fields.push(("name".to_string(), Json::Str(name.to_string())));
+    /// Render the tagged-object form [`Scheme::from_json`] reads back.
+    pub(crate) fn to_json(&self) -> Json {
+        let mut fields = vec![("name".to_string(), Json::Str(self.spec_name().to_string()))];
         match self {
-            SchemeSpec::CloveLatency { adaptive_gap } => {
-                fields.push(("adaptive_gap".to_string(), Json::Bool(*adaptive_gap)));
-            }
-            SchemeSpec::Presto { weights } => {
-                let w = match weights {
-                    Some(ws) => Json::Arr(ws.iter().map(|&x| Json::Num(x)).collect()),
-                    None => Json::Null,
-                };
+            Scheme::CloveLatency { adaptive_gap } => fields.push(("adaptive_gap".to_string(), Json::Bool(*adaptive_gap))),
+            Scheme::Presto { weights } => {
+                let w = weights.as_ref().map(|ws| Json::Arr(ws.iter().map(|&x| Json::Num(x)).collect())).unwrap_or(Json::Null);
                 fields.push(("weights".to_string(), w));
             }
-            SchemeSpec::Mptcp { subflows } => {
-                fields.push(("subflows".to_string(), Json::Num(*subflows as f64)));
-            }
-            SchemeSpec::Incremental { clove_hosts } => {
-                fields.push(("clove_hosts".to_string(), Json::Num(*clove_hosts as f64)));
-            }
+            Scheme::Mptcp { subflows } => fields.push(("subflows".to_string(), Json::Num(*subflows as f64))),
+            Scheme::Incremental { clove_hosts } => fields.push(("clove_hosts".to_string(), Json::Num(*clove_hosts as f64))),
             _ => {}
         }
         Json::Obj(fields)
     }
 }
 
-impl From<SchemeSpec> for Scheme {
-    fn from(s: SchemeSpec) -> Scheme {
-        match s {
-            SchemeSpec::Ecmp => Scheme::Ecmp,
-            SchemeSpec::EdgeFlowlet => Scheme::EdgeFlowlet,
-            SchemeSpec::CloveEcn => Scheme::CloveEcn,
-            SchemeSpec::CloveInt => Scheme::CloveInt,
-            SchemeSpec::CloveLatency { adaptive_gap } => Scheme::CloveLatency { adaptive_gap },
-            SchemeSpec::Presto { weights } => Scheme::Presto { oracle_weights: weights },
-            SchemeSpec::Mptcp { subflows } => Scheme::Mptcp { subflows },
-            SchemeSpec::Conga => Scheme::Conga,
-            SchemeSpec::LetFlow => Scheme::LetFlow,
-            SchemeSpec::Hula => Scheme::Hula,
-            SchemeSpec::Incremental { clove_hosts } => Scheme::Incremental { clove_hosts },
-        }
-    }
-}
-
-/// JSON-facing topology (`{"kind": "asymmetric"}`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TopologySpec {
-    /// Healthy 2×2×16 leaf-spine.
-    Symmetric,
-    /// Leaf-spine with the S2–L2 cable down from t = 0.
-    Asymmetric,
-    /// k-ary fat-tree.
-    FatTree {
-        /// Pod arity (even, ≥ 4).
-        k: u32,
-    },
-}
-
-impl TopologySpec {
-    /// Parse from the tagged-object form, e.g. `{"kind":"fat-tree","k":4}`.
-    pub fn from_json(v: &Json) -> Result<TopologySpec, String> {
-        let kind = v.get("kind").and_then(Json::as_str).ok_or_else(|| "topology: missing string field 'kind'".to_string())?;
-        match kind {
-            "symmetric" => Ok(TopologySpec::Symmetric),
-            "asymmetric" => Ok(TopologySpec::Asymmetric),
-            "fat-tree" => {
-                Ok(TopologySpec::FatTree { k: v.get("k").and_then(Json::as_u64).ok_or_else(|| "fat-tree: missing integer field 'k'".to_string())? as u32 })
-            }
-            other => Err(format!("unknown topology kind '{other}'")),
-        }
-    }
-
-    /// Render back to the tagged-object form.
-    pub fn to_json(&self) -> Json {
+impl TopologyKind {
+    /// The topology's spec kind (`{"kind": …}`).
+    fn spec_name(&self) -> &'static str {
         match self {
-            TopologySpec::Symmetric => Json::Obj(vec![("kind".to_string(), Json::Str("symmetric".to_string()))]),
-            TopologySpec::Asymmetric => Json::Obj(vec![("kind".to_string(), Json::Str("asymmetric".to_string()))]),
-            TopologySpec::FatTree { k } => Json::Obj(vec![("kind".to_string(), Json::Str("fat-tree".to_string())), ("k".to_string(), Json::Num(*k as f64))]),
+            TopologyKind::Symmetric => "symmetric",
+            TopologyKind::Asymmetric => "asymmetric",
+            TopologyKind::FatTree { .. } => "fat-tree",
         }
     }
-}
 
-impl From<TopologySpec> for TopologyKind {
-    fn from(t: TopologySpec) -> TopologyKind {
-        match t {
-            TopologySpec::Symmetric => TopologyKind::Symmetric,
-            TopologySpec::Asymmetric => TopologyKind::Asymmetric,
-            TopologySpec::FatTree { k } => TopologyKind::FatTree { k },
+    /// Parse the tagged-object form, e.g. `{"kind":"fat-tree","k":4}`.
+    pub(crate) fn from_json(v: &Json) -> Result<TopologyKind, String> {
+        let kind = v.get("kind").and_then(Json::as_str).ok_or_else(|| "topology: missing string field 'kind'".to_string())?;
+        let variant = TOPOLOGY_VARIANTS.iter().find(|t| t.spec_name() == kind).ok_or_else(|| format!("unknown topology kind '{kind}'"))?;
+        Ok(match variant {
+            TopologyKind::FatTree { .. } => TopologyKind::FatTree { k: required_int(v, kind, "k")? },
+            unit => *unit,
+        })
+    }
+
+    /// Render the tagged-object form [`TopologyKind::from_json`] reads back.
+    pub(crate) fn to_json(self) -> Json {
+        let mut fields = vec![("kind".to_string(), Json::Str(self.spec_name().to_string()))];
+        if let TopologyKind::FatTree { k } = self {
+            fields.push(("k".to_string(), Json::Num(k as f64)));
         }
+        Json::Obj(fields)
     }
 }
 
@@ -276,9 +231,9 @@ fn parse_node(name: &str) -> Result<clove_net::fault::NodeSelector, String> {
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// Load balancer under test.
-    pub scheme: SchemeSpec,
+    pub scheme: Scheme,
     /// Topology variant.
-    pub topology: TopologySpec,
+    pub topology: TopologyKind,
     /// Offered load as a fraction of bisection bandwidth.
     pub load: f64,
     /// Flow-size distribution: "web-search", "enterprise", "data-mining".
@@ -313,53 +268,76 @@ pub struct ScenarioSpec {
     /// Run under the invariant monitor and fail the run on any violation
     /// (`clove-run --strict` forces this on).
     pub strict: bool,
-    /// Event-queue backend (`clove-run --queue heap` selects the legacy
-    /// binary-heap oracle). Deliberately *not* part of the spec JSON or
-    /// journal keys: the report is byte-identical under either backend.
-    pub queue: QueueBackend,
-    /// Capture structured decision traces (`clove-run --trace FILE`). Like
-    /// `queue`, CLI-only and *not* part of the spec JSON or journal keys:
+    /// Capture structured decision traces (`clove-run --trace FILE`).
+    /// CLI-only and *not* part of the spec JSON or journal keys:
     /// tracing must never change the report, and trace runs bypass the
     /// checkpoint journal (a resumed seed has no buffer to replay).
     pub trace: bool,
 }
 
 impl ScenarioSpec {
+    /// A spec for `scheme` on `topology` at `load`, every other field at the
+    /// default an omitted JSON key gets.
+    pub fn new(scheme: Scheme, topology: TopologyKind, load: f64) -> ScenarioSpec {
+        ScenarioSpec {
+            scheme,
+            topology,
+            load,
+            workload: "web-search".to_string(),
+            jobs_per_conn: 60,
+            conns_per_client: 2,
+            seed: 0,
+            seeds: 1,
+            horizon_secs: 30,
+            fail_at_ms: None,
+            node_crash: None,
+            flowlet_gap_us: None,
+            ecn_threshold_pkts: None,
+            control_loss: None,
+            control_loss_at_ms: None,
+            strict: false,
+            trace: false,
+        }
+    }
+
     /// Parse a spec from JSON text, applying defaults for omitted fields.
     pub fn from_json_str(text: &str) -> Result<ScenarioSpec, String> {
         let v = Json::parse(text)?;
         if !matches!(v, Json::Obj(_)) {
             return Err("spec must be a JSON object".to_string());
         }
-        let scheme = SchemeSpec::from_json(v.get("scheme").ok_or_else(|| "missing field 'scheme'".to_string())?)?;
-        let topology = TopologySpec::from_json(v.get("topology").ok_or_else(|| "missing field 'topology'".to_string())?)?;
+        let scheme = Scheme::from_json(v.get("scheme").ok_or_else(|| "missing field 'scheme'".to_string())?)?;
+        let topology = TopologyKind::from_json(v.get("topology").ok_or_else(|| "missing field 'topology'".to_string())?)?;
         let load = v.get("load").and_then(Json::as_f64).ok_or_else(|| "missing numeric field 'load'".to_string())?;
+        // The offered-load range the RPC workload model accepts.
+        if !(load > 0.0 && load <= 1.5) {
+            return Err(format!("'load' must be in (0, 1.5], got {load}"));
+        }
         let opt_u64 = |key: &str| -> Result<Option<u64>, String> {
             match v.get(key) {
                 None | Some(Json::Null) => Ok(None),
                 Some(x) => x.as_u64().map(Some).ok_or_else(|| format!("'{key}' must be a non-negative integer")),
             }
         };
+        let opt_u32 = |key: &str| -> Result<Option<u32>, String> { opt_u64(key)?.map(|x| narrow(key, x)).transpose() };
+        let d = ScenarioSpec::new(scheme, topology, load);
         Ok(ScenarioSpec {
-            scheme,
-            topology,
-            load,
             workload: match v.get("workload") {
-                None => "web-search".to_string(),
+                None => d.workload,
                 Some(w) => w.as_str().ok_or_else(|| "'workload' must be a string".to_string())?.to_string(),
             },
-            jobs_per_conn: opt_u64("jobs_per_conn")?.unwrap_or(60) as u32,
-            conns_per_client: opt_u64("conns_per_client")?.unwrap_or(2) as u32,
-            seed: opt_u64("seed")?.unwrap_or(0),
-            seeds: opt_u64("seeds")?.unwrap_or(1).max(1) as u32,
-            horizon_secs: opt_u64("horizon_secs")?.unwrap_or(30),
+            jobs_per_conn: opt_u32("jobs_per_conn")?.unwrap_or(d.jobs_per_conn),
+            conns_per_client: opt_u32("conns_per_client")?.unwrap_or(d.conns_per_client),
+            seed: opt_u64("seed")?.unwrap_or(d.seed),
+            seeds: opt_u32("seeds")?.unwrap_or(d.seeds).max(1),
+            horizon_secs: opt_u64("horizon_secs")?.unwrap_or(d.horizon_secs),
             fail_at_ms: opt_u64("fail_at_ms")?,
             node_crash: match v.get("node_crash") {
                 None | Some(Json::Null) => None,
                 Some(x) => Some(NodeCrashSpec::from_json(x)?),
             },
             flowlet_gap_us: opt_u64("flowlet_gap_us")?,
-            ecn_threshold_pkts: opt_u64("ecn_threshold_pkts")?.map(|x| x as u32),
+            ecn_threshold_pkts: opt_u32("ecn_threshold_pkts")?,
             control_loss: match v.get("control_loss") {
                 None | Some(Json::Null) => None,
                 Some(x) => {
@@ -372,11 +350,10 @@ impl ScenarioSpec {
             },
             control_loss_at_ms: opt_u64("control_loss_at_ms")?,
             strict: match v.get("strict") {
-                None | Some(Json::Null) => false,
+                None | Some(Json::Null) => d.strict,
                 Some(x) => x.as_bool().ok_or_else(|| "'strict' must be a boolean".to_string())?,
             },
-            queue: QueueBackend::default(),
-            trace: false,
+            ..d
         })
     }
 
@@ -419,7 +396,7 @@ impl ScenarioSpec {
     }
 
     fn to_scenario_seeded(&self, seed: u64) -> Scenario {
-        let mut s = Scenario::new(self.scheme.clone().into(), self.topology.into(), self.load, seed);
+        let mut s = Scenario::new(self.scheme.clone(), self.topology, self.load, seed);
         s.jobs_per_conn = self.jobs_per_conn;
         s.conns_per_client = self.conns_per_client;
         s.horizon = Time::from_secs(self.horizon_secs);
@@ -433,7 +410,6 @@ impl ScenarioSpec {
             s.control_faults = clove_net::fault::ControlFaultPlan::lossy_control(Time::from_millis(self.control_loss_at_ms.unwrap_or(0)), rate);
         }
         s.strict = self.strict;
-        s.queue = self.queue;
         s.trace = self.trace;
         let mut profile = Profile::default();
         if let Some(us) = self.flowlet_gap_us {
@@ -703,14 +679,9 @@ mod tests {
     #[test]
     fn spec_round_trips_through_json() {
         let spec = ScenarioSpec {
-            scheme: SchemeSpec::CloveEcn,
-            topology: TopologySpec::Asymmetric,
-            load: 0.7,
-            workload: "web-search".into(),
             jobs_per_conn: 10,
             conns_per_client: 1,
             seed: 42,
-            seeds: 1,
             horizon_secs: 10,
             fail_at_ms: Some(100),
             node_crash: Some(NodeCrashSpec { node: clove_net::fault::NodeSelector::Leaf(1), at_ms: 20, down_ms: 15, cold: true }),
@@ -719,13 +690,12 @@ mod tests {
             control_loss: Some(0.2),
             control_loss_at_ms: Some(20),
             strict: true,
-            queue: QueueBackend::default(),
-            trace: false,
+            ..ScenarioSpec::new(Scheme::CloveEcn, TopologyKind::Asymmetric, 0.7)
         };
         let json = spec.to_json().render_pretty();
         let back = ScenarioSpec::from_json_str(&json).unwrap();
         assert_eq!(back.load, 0.7);
-        assert_eq!(back.scheme, SchemeSpec::CloveEcn);
+        assert_eq!(back.scheme, Scheme::CloveEcn);
         assert_eq!(back.fail_at_ms, Some(100));
         assert_eq!(back.node_crash, spec.node_crash);
         assert_eq!(back.control_loss, Some(0.2));
@@ -800,21 +770,86 @@ mod tests {
     }
 
     #[test]
-    fn scheme_specs_map_to_schemes() {
-        assert_eq!(Scheme::from(SchemeSpec::Mptcp { subflows: 4 }).label(), "MPTCP");
-        assert_eq!(Scheme::from(SchemeSpec::Hula).label(), "HULA");
-        assert_eq!(Scheme::from(SchemeSpec::Presto { weights: None }).label(), "Presto");
-        assert_eq!(Scheme::from(SchemeSpec::Incremental { clove_hosts: 8 }).label(), "Clove-ECN (partial)");
+    fn codec_round_trips_every_scheme_and_topology() {
+        let mut schemes = SCHEME_VARIANTS.to_vec();
+        schemes.extend([
+            Scheme::CloveLatency { adaptive_gap: true },
+            Scheme::Presto { weights: Some(vec![0.33, 0.33, 0.17, 0.17]) },
+            Scheme::Mptcp { subflows: 4 },
+            Scheme::Incremental { clove_hosts: 8 },
+        ]);
+        for scheme in schemes {
+            let text = scheme.to_json().render();
+            assert_eq!(Scheme::from_json(&Json::parse(&text).unwrap()), Ok(scheme), "{text}");
+        }
+        for topology in [TopologyKind::Symmetric, TopologyKind::Asymmetric, TopologyKind::FatTree { k: 4 }] {
+            let text = topology.to_json().render();
+            assert_eq!(TopologyKind::from_json(&Json::parse(&text).unwrap()), Ok(topology), "{text}");
+        }
     }
 
     #[test]
     fn tagged_scheme_variants_parse() {
-        let m = SchemeSpec::from_json(&Json::parse(r#"{"name":"mptcp","subflows":4}"#).unwrap());
-        assert_eq!(m.unwrap(), SchemeSpec::Mptcp { subflows: 4 });
-        let p = SchemeSpec::from_json(&Json::parse(r#"{"name":"presto","weights":[0.5,0.5]}"#).unwrap());
-        assert_eq!(p.unwrap(), SchemeSpec::Presto { weights: Some(vec![0.5, 0.5]) });
-        assert!(SchemeSpec::from_json(&Json::parse(r#"{"name":"nope"}"#).unwrap()).is_err());
-        assert!(SchemeSpec::from_json(&Json::parse(r#"{"name":"mptcp"}"#).unwrap()).is_err());
+        let m = Scheme::from_json(&Json::parse(r#"{"name":"mptcp","subflows":4}"#).unwrap());
+        assert_eq!(m.unwrap(), Scheme::Mptcp { subflows: 4 });
+        let p = Scheme::from_json(&Json::parse(r#"{"name":"presto","weights":[0.5,0.5]}"#).unwrap());
+        assert_eq!(p.unwrap(), Scheme::Presto { weights: Some(vec![0.5, 0.5]) });
+        assert!(Scheme::from_json(&Json::parse(r#"{"name":"nope"}"#).unwrap()).is_err());
+        assert!(Scheme::from_json(&Json::parse(r#"{"name":"mptcp"}"#).unwrap()).is_err());
+    }
+
+    /// The parse error for a spec with the given scheme, topology and
+    /// extra top-level fields (panics if the spec parses).
+    fn spec_error(scheme: &str, topology: &str, extra: &str) -> String {
+        let json = format!(r#"{{"scheme":{scheme},"topology":{topology},"load":0.5{extra}}}"#);
+        ScenarioSpec::from_json_str(&json).expect_err(&json)
+    }
+
+    #[test]
+    fn jobs_per_conn_out_of_range_is_rejected() {
+        let err = spec_error(r#"{"name":"ecmp"}"#, r#"{"kind":"symmetric"}"#, r#","jobs_per_conn":4294967297"#);
+        assert!(err.contains("jobs_per_conn"), "{err}");
+    }
+
+    #[test]
+    fn conns_per_client_out_of_range_is_rejected() {
+        let err = spec_error(r#"{"name":"ecmp"}"#, r#"{"kind":"symmetric"}"#, r#","conns_per_client":4294967296"#);
+        assert!(err.contains("conns_per_client"), "{err}");
+    }
+
+    #[test]
+    fn seeds_out_of_range_is_rejected() {
+        let err = spec_error(r#"{"name":"ecmp"}"#, r#"{"kind":"symmetric"}"#, r#","seeds":4294967296"#);
+        assert!(err.contains("seeds"), "{err}");
+    }
+
+    #[test]
+    fn ecn_threshold_out_of_range_is_rejected() {
+        let err = spec_error(r#"{"name":"ecmp"}"#, r#"{"kind":"symmetric"}"#, r#","ecn_threshold_pkts":4294967326"#);
+        assert!(err.contains("ecn_threshold_pkts"), "{err}");
+    }
+
+    #[test]
+    fn clove_hosts_out_of_range_is_rejected() {
+        let err = spec_error(r#"{"name":"incremental","clove_hosts":4294967304}"#, r#"{"kind":"symmetric"}"#, "");
+        assert!(err.contains("clove_hosts"), "{err}");
+    }
+
+    #[test]
+    fn fat_tree_k_out_of_range_is_rejected() {
+        let err = spec_error(r#"{"name":"ecmp"}"#, r#"{"kind":"fat-tree","k":4294967300}"#, "");
+        assert!(err.contains("'k'"), "{err}");
+    }
+
+    #[test]
+    fn load_outside_the_workload_range_is_rejected() {
+        for load in ["0", "-0.5", "1.6"] {
+            let json = format!(r#"{{"scheme":{{"name":"ecmp"}},"topology":{{"kind":"symmetric"}},"load":{load}}}"#);
+            let err = ScenarioSpec::from_json_str(&json).expect_err(&json);
+            assert!(err.contains("load"), "{err}");
+        }
+        let json = r#"{"scheme":{"name":"ecmp"},"topology":{"kind":"symmetric"},"load":1.5}"#;
+        assert!(ScenarioSpec::from_json_str(json).is_ok(), "1.5 is the inclusive upper bound");
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! [`crate::journal`]), so a resumed run's CSVs are byte-identical to an
 //! uninterrupted one at any `--jobs` width.
 
+use crate::config::ScenarioSpec;
 use crate::journal::{self, JournalValue};
 use crate::json::Json;
 use crate::orchestrator::{self, CellOutcome, ExecPolicy, MatrixStats};
@@ -41,7 +42,7 @@ use crate::report::{FeedbackRow, FeedbackTable, FigureTable, ResilienceRow, Resi
 use crate::scenario::{RpcOutcome, Scenario, TopologyKind};
 use crate::scheme::Scheme;
 use clove_net::fault::{CableSelector, ControlFaultPlan, ControlFaultStats, FaultPlan, FaultStats, NodeSelector, NodeState};
-use clove_sim::{Duration, QueueBackend, RunControl, Time};
+use clove_sim::{Duration, RunControl, Time};
 use clove_workload::{web_search, FctSummary, FlowSizeDist};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -69,42 +70,17 @@ pub struct ExpConfig {
     /// Completed-cell journal for checkpoint/resume; `None` disables
     /// journaling (cells always execute).
     pub journal: Option<Arc<crate::journal::Journal>>,
-    /// Event-queue backend every cell runs on: the timing wheel (default)
-    /// or the legacy binary heap (`--queue heap`), kept as a
-    /// differential-testing oracle. Results are backend-independent, so
-    /// the backend is *not* part of the journal key.
-    pub queue: QueueBackend,
 }
 
 impl ExpConfig {
     /// A configuration suitable for generating the committed figures.
     pub fn full() -> ExpConfig {
-        ExpConfig {
-            jobs_per_conn: 80,
-            conns_per_client: 2,
-            seeds: 2,
-            horizon_secs: 60,
-            jobs: 1,
-            strict: false,
-            exec: ExecPolicy::default(),
-            journal: None,
-            queue: QueueBackend::default(),
-        }
+        ExpConfig { jobs_per_conn: 80, conns_per_client: 2, seeds: 2, horizon_secs: 60, jobs: 1, strict: false, exec: ExecPolicy::default(), journal: None }
     }
 
     /// A tiny configuration for benches and CI smoke tests.
     pub fn quick() -> ExpConfig {
-        ExpConfig {
-            jobs_per_conn: 8,
-            conns_per_client: 1,
-            seeds: 1,
-            horizon_secs: 10,
-            jobs: 1,
-            strict: false,
-            exec: ExecPolicy::default(),
-            journal: None,
-            queue: QueueBackend::default(),
-        }
+        ExpConfig { jobs_per_conn: 8, conns_per_client: 1, seeds: 1, horizon_secs: 10, jobs: 1, strict: false, exec: ExecPolicy::default(), journal: None }
     }
 
     /// The same configuration with a different worker count.
@@ -128,12 +104,6 @@ impl ExpConfig {
     /// The same configuration with a checkpoint journal installed.
     pub fn with_journal(mut self, journal: Option<Arc<crate::journal::Journal>>) -> ExpConfig {
         self.journal = journal;
-        self
-    }
-
-    /// The same configuration on a different event-queue backend.
-    pub fn with_queue(mut self, queue: QueueBackend) -> ExpConfig {
-        self.queue = queue;
         self
     }
 
@@ -221,7 +191,6 @@ fn scenario(scheme: Scheme, topology: TopologyKind, load: f64, seed: u64, cfg: &
     s.horizon = Time::from_secs(cfg.horizon_secs);
     s.strict = cfg.strict;
     s.control = control.map(Arc::clone);
-    s.queue = cfg.queue;
     s
 }
 
@@ -264,48 +233,16 @@ fn path_slug(s: &str) -> String {
 
 /// The `clove-run` spec for one RPC cell: the replay payload embedded in
 /// quarantine snapshots so the failed cell can be re-run under `--trace`.
-/// `None` for ablation-only schemes the spec format cannot express (their
-/// snapshots fall back to a `figures` repro command).
-fn rpc_cell_spec(scheme: &Scheme, topology: TopologyKind, load: f64, seed: u64, cfg: &ExpConfig) -> Option<Json> {
-    let scheme_json = match scheme {
-        Scheme::Ecmp => Json::Obj(vec![("name".to_string(), Json::Str("ecmp".to_string()))]),
-        Scheme::EdgeFlowlet => Json::Obj(vec![("name".to_string(), Json::Str("edge-flowlet".to_string()))]),
-        Scheme::CloveEcn => Json::Obj(vec![("name".to_string(), Json::Str("clove-ecn".to_string()))]),
-        Scheme::CloveInt => Json::Obj(vec![("name".to_string(), Json::Str("clove-int".to_string()))]),
-        Scheme::CloveLatency { adaptive_gap } => {
-            Json::Obj(vec![("name".to_string(), Json::Str("clove-latency".to_string())), ("adaptive_gap".to_string(), Json::Bool(*adaptive_gap))])
-        }
-        Scheme::Presto { oracle_weights } => Json::Obj(vec![
-            ("name".to_string(), Json::Str("presto".to_string())),
-            ("weights".to_string(), oracle_weights.as_ref().map(|w| Json::Arr(w.iter().map(|&x| Json::Num(x)).collect())).unwrap_or(Json::Null)),
-        ]),
-        Scheme::Mptcp { subflows } => {
-            Json::Obj(vec![("name".to_string(), Json::Str("mptcp".to_string())), ("subflows".to_string(), Json::Num(*subflows as f64))])
-        }
-        Scheme::Conga => Json::Obj(vec![("name".to_string(), Json::Str("conga".to_string()))]),
-        Scheme::LetFlow => Json::Obj(vec![("name".to_string(), Json::Str("let-flow".to_string()))]),
-        Scheme::Hula => Json::Obj(vec![("name".to_string(), Json::Str("hula".to_string()))]),
-        Scheme::Incremental { clove_hosts } => {
-            Json::Obj(vec![("name".to_string(), Json::Str("incremental".to_string())), ("clove_hosts".to_string(), Json::Num(*clove_hosts as f64))])
-        }
-        _ => return None,
-    };
-    let topology_json = match topology {
-        TopologyKind::Symmetric => Json::Obj(vec![("kind".to_string(), Json::Str("symmetric".to_string()))]),
-        TopologyKind::Asymmetric => Json::Obj(vec![("kind".to_string(), Json::Str("asymmetric".to_string()))]),
-        TopologyKind::FatTree { k } => Json::Obj(vec![("kind".to_string(), Json::Str("fat-tree".to_string())), ("k".to_string(), Json::Num(k as f64))]),
-    };
-    Some(Json::Obj(vec![
-        ("scheme".to_string(), scheme_json),
-        ("topology".to_string(), topology_json),
-        ("load".to_string(), Json::Num(load)),
-        ("jobs_per_conn".to_string(), Json::Num(cfg.jobs_per_conn as f64)),
-        ("conns_per_client".to_string(), Json::Num(cfg.conns_per_client as f64)),
-        ("seed".to_string(), Json::Num(seed as f64)),
-        ("seeds".to_string(), Json::Num(1.0)),
-        ("horizon_secs".to_string(), Json::Num(cfg.horizon_secs as f64)),
-        ("strict".to_string(), Json::Bool(cfg.strict)),
-    ]))
+fn rpc_cell_spec(scheme: &Scheme, topology: TopologyKind, load: f64, seed: u64, cfg: &ExpConfig) -> Json {
+    ScenarioSpec {
+        jobs_per_conn: cfg.jobs_per_conn,
+        conns_per_client: cfg.conns_per_client,
+        seed,
+        horizon_secs: cfg.horizon_secs,
+        strict: cfg.strict,
+        ..ScenarioSpec::new(scheme.clone(), topology, load)
+    }
+    .to_json()
 }
 
 /// Persist a telemetry snapshot for a quarantined cell under
@@ -380,7 +317,10 @@ pub fn rpc_point_detailed(scheme: &Scheme, topology: TopologyKind, load: f64, cf
     (pooled.expect("at least one seed"), events)
 }
 
-type PointKey = (String, bool, u64);
+/// A point's identity: the scheme's full spec encoding (so parameterized
+/// variants such as MPTCP-2 and MPTCP-4 stay apart), the topology tag and
+/// the load in permille.
+type PointKey = (String, String, u64);
 
 /// Memoizes RPC point results so figures sharing the same underlying
 /// runs (4c with 5a/5b/5c, 8b with 9) pay for them once.
@@ -406,7 +346,7 @@ impl PointCache {
     }
 
     fn key(scheme: &Scheme, topology: TopologyKind, load: f64) -> PointKey {
-        (scheme.label().to_string(), topology == TopologyKind::Asymmetric, (load * 1000.0).round() as u64)
+        (scheme.to_json().render(), topology_tag(topology), (load * 1000.0).round() as u64)
     }
 
     /// Fetch or compute a point; `None` means the point is quarantined
@@ -456,7 +396,14 @@ impl PointCache {
             // CONGA @ 90% cell dominates the matrix) — start them first.
             |&(si, load, _)| schemes[si].cost_weight() * (1.0 + load),
             |&(si, load, seed)| {
-                format!("rpc|{}|{}|load{}|seed{}|{}", schemes[si].label(), topology_tag(topology), (load * 1000.0).round() as u64, seed, cfg.key_fragment())
+                format!(
+                    "rpc|{}|{}|load{}|seed{}|{}",
+                    schemes[si].to_json().render(),
+                    topology_tag(topology),
+                    (load * 1000.0).round() as u64,
+                    seed,
+                    cfg.key_fragment()
+                )
             },
             |&(si, load, seed), control| {
                 let s = scenario(schemes[si].clone(), topology, load, seed, cfg, Some(control));
@@ -480,7 +427,7 @@ impl PointCache {
                     other => {
                         let cell = format!("{} @ {:.0}% load ({})", schemes[si].label(), load * 100.0, topology_tag(topology));
                         let seed = 1000 + off as u64;
-                        let spec = rpc_cell_spec(&schemes[si], topology, load, seed, cfg);
+                        let spec = Some(rpc_cell_spec(&schemes[si], topology, load, seed, cfg));
                         let snap = quarantine_snapshot("rpc", &cell, seed, &other.describe(), spec);
                         bad.push(format!("{cell} seed {seed}: {}{snap}", other.describe()));
                     }
@@ -499,7 +446,7 @@ impl PointCache {
 
 /// The paper's testbed scheme set (Figures 4–6).
 pub fn testbed_schemes(topology: TopologyKind) -> Vec<Scheme> {
-    vec![Scheme::Ecmp, Scheme::EdgeFlowlet, Scheme::CloveEcn, Scheme::Mptcp { subflows: 4 }, Scheme::Presto { oracle_weights: presto_oracle_weights(topology) }]
+    vec![Scheme::Ecmp, Scheme::EdgeFlowlet, Scheme::CloveEcn, Scheme::Mptcp { subflows: 4 }, Scheme::Presto { weights: presto_oracle_weights(topology) }]
 }
 
 /// The paper's simulation scheme set (Figures 8–9).
@@ -746,15 +693,7 @@ impl FaultCase {
 /// The schemes the resilience sweep covers: the union of the testbed and
 /// simulation sets (every scheme the figures exercise, each once).
 pub fn resilience_schemes() -> Vec<Scheme> {
-    vec![
-        Scheme::Ecmp,
-        Scheme::EdgeFlowlet,
-        Scheme::CloveEcn,
-        Scheme::Mptcp { subflows: 4 },
-        Scheme::Presto { oracle_weights: None },
-        Scheme::CloveInt,
-        Scheme::Conga,
-    ]
+    vec![Scheme::Ecmp, Scheme::EdgeFlowlet, Scheme::CloveEcn, Scheme::Mptcp { subflows: 4 }, Scheme::Presto { weights: None }, Scheme::CloveInt, Scheme::Conga]
 }
 
 /// When the resilience faults land: late enough for a pre-fault FCT
@@ -1259,17 +1198,37 @@ mod tests {
         // clove-run, so the embedded spec (plus the extra `quarantine`
         // object, which the parser must ignore) has to parse back into a
         // single-seed ScenarioSpec for the failed cell.
+        // Ablation-only schemes are spec-expressible too, so every RPC
+        // cell's snapshot replays through clove-run.
         let cfg = ExpConfig::quick();
-        for scheme in [Scheme::CloveEcn, Scheme::Mptcp { subflows: 4 }, Scheme::Presto { oracle_weights: presto_oracle_weights(TopologyKind::Asymmetric) }] {
-            let spec = rpc_cell_spec(&scheme, TopologyKind::Asymmetric, 0.7, 1001, &cfg).expect("figure schemes are spec-expressible");
-            let Json::Obj(mut fields) = spec else { panic!("spec must be an object") };
+        for scheme in
+            [Scheme::CloveEcn, Scheme::Mptcp { subflows: 4 }, Scheme::Presto { weights: presto_oracle_weights(TopologyKind::Asymmetric) }, Scheme::EcmpDctcp]
+        {
+            let Json::Obj(mut fields) = rpc_cell_spec(&scheme, TopologyKind::Asymmetric, 0.7, 1001, &cfg) else { panic!("spec must be an object") };
             fields.push(("quarantine".to_string(), Json::Obj(vec![("reason".to_string(), Json::Str("panicked".to_string()))])));
-            let parsed = crate::config::ScenarioSpec::from_json_str(&Json::Obj(fields).render()).expect("snapshot parses as a clove-run spec");
+            let parsed = ScenarioSpec::from_json_str(&Json::Obj(fields).render()).expect("snapshot parses as a clove-run spec");
+            assert_eq!(parsed.scheme, scheme);
+            assert_eq!(parsed.topology, TopologyKind::Asymmetric);
             assert_eq!(parsed.load, 0.7);
             assert_eq!(parsed.seed, 1001);
             assert_eq!(parsed.seeds, 1, "replay exactly the failed seed");
             assert_eq!(parsed.jobs_per_conn, cfg.jobs_per_conn);
         }
-        assert!(rpc_cell_spec(&Scheme::EcmpDctcp, TopologyKind::Symmetric, 0.5, 1000, &cfg).is_none(), "ablation schemes fall back to a figures repro");
+    }
+
+    #[test]
+    fn point_cache_keys_on_full_scheme_and_topology() {
+        let cfg = ExpConfig { jobs_per_conn: 1, ..ExpConfig::quick() };
+        let mut cache = PointCache::new();
+        let mut runs = |scheme: Scheme, topology: TopologyKind| {
+            let before = cache.events;
+            cache.point(&scheme, topology, 0.3, &cfg).expect("point completes");
+            cache.events > before
+        };
+        assert!(runs(Scheme::Ecmp, TopologyKind::Symmetric));
+        assert!(runs(Scheme::Ecmp, TopologyKind::FatTree { k: 4 }), "a fat-tree point is not the symmetric testbed's");
+        assert!(runs(Scheme::Mptcp { subflows: 2 }, TopologyKind::Symmetric));
+        assert!(runs(Scheme::Mptcp { subflows: 4 }, TopologyKind::Symmetric), "MPTCP-4 is not MPTCP-2");
+        assert!(!runs(Scheme::Mptcp { subflows: 4 }, TopologyKind::Symmetric), "a repeated point is a cache hit");
     }
 }

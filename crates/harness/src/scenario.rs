@@ -67,8 +67,9 @@ pub struct Scenario {
     /// Run the [`InvariantMonitor`] at every run-loop chunk boundary and
     /// report its violations in the outcome (`clove-run --strict`).
     pub strict: bool,
-    /// Event-queue backend: the timing wheel (default) or the legacy
-    /// binary heap, kept as a differential-testing oracle (`--queue heap`).
+    /// Event-queue backend. The experiment drivers always run the timing
+    /// wheel (the default); tests set the binary heap to check the wheel
+    /// against it.
     pub queue: QueueBackend,
     /// Shared progress/cancellation handle. When set, the run loop
     /// publishes events-processed and simulated time through it and honors

@@ -29,7 +29,7 @@ pub enum Scheme {
     Presto {
         /// Static per-path weights (the paper's oracle configuration for
         /// asymmetric topologies); `None` = uniform.
-        oracle_weights: Option<Vec<f64>>,
+        weights: Option<Vec<f64>>,
     },
     /// MPTCP with `subflows` subflows (paper: 4).
     Mptcp {
@@ -215,7 +215,7 @@ impl Scheme {
                 cfg.adaptive_gap = *adaptive_gap;
                 Box::new(CloveLatencyPolicy::new(cfg))
             }
-            Scheme::Presto { oracle_weights } => Box::new(PrestoPolicy::new(PrestoConfig { weights: oracle_weights.clone(), ..PrestoConfig::default() })),
+            Scheme::Presto { weights } => Box::new(PrestoPolicy::new(PrestoConfig { weights: weights.clone(), ..PrestoConfig::default() })),
             // Uniform call sites never reach here for Incremental (the
             // harness uses the *_for variants), but default to Clove-ECN.
             Scheme::Incremental { .. } => Scheme::CloveEcn.build_policy(profile, seed),
@@ -234,7 +234,7 @@ mod tests {
             Scheme::CloveEcn,
             Scheme::CloveInt,
             Scheme::CloveLatency { adaptive_gap: true },
-            Scheme::Presto { oracle_weights: None },
+            Scheme::Presto { weights: None },
             Scheme::Mptcp { subflows: 4 },
             Scheme::Conga,
             Scheme::LetFlow,
@@ -260,7 +260,7 @@ mod tests {
         assert!(!Scheme::Conga.needs_discovery());
         assert!(Scheme::CloveEcn.needs_discovery());
         assert!(Scheme::EdgeFlowlet.needs_discovery());
-        assert!(Scheme::Presto { oracle_weights: None }.needs_discovery());
+        assert!(Scheme::Presto { weights: None }.needs_discovery());
     }
 
     #[test]

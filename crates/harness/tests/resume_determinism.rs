@@ -4,9 +4,9 @@
 //! interruption by deleting half the journal entries a complete run
 //! produced, then re-running with `resume = true`.
 
-use clove_harness::config::{ScenarioSpec, SchemeSpec, TopologySpec};
+use clove_harness::config::ScenarioSpec;
 use clove_harness::experiments::{self, ExpConfig};
-use clove_harness::{Journal, Scheme};
+use clove_harness::{Journal, Scheme, TopologyKind};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -85,24 +85,12 @@ fn fresh_open_discards_a_previous_runs_checkpoints() {
 fn clove_run_spec_resume_reproduces_the_report_exactly() {
     let root = tmp_root("spec");
     let spec = ScenarioSpec {
-        scheme: SchemeSpec::CloveEcn,
-        topology: TopologySpec::Asymmetric,
-        load: 0.5,
-        workload: "web-search".into(),
         jobs_per_conn: 4,
         conns_per_client: 1,
         seed: 7,
         seeds: 4,
         horizon_secs: 10,
-        fail_at_ms: None,
-        node_crash: None,
-        control_loss: None,
-        control_loss_at_ms: None,
-        flowlet_gap_us: None,
-        ecn_threshold_pkts: None,
-        strict: false,
-        queue: clove_sim::QueueBackend::default(),
-        trace: false,
+        ..ScenarioSpec::new(Scheme::CloveEcn, TopologyKind::Asymmetric, 0.5)
     };
 
     let journal = Journal::open(&root, false).expect("journal opens");

@@ -23,15 +23,9 @@ fn strict_scenario(scheme: Scheme, seed: u64) -> Scenario {
 #[test]
 fn all_schemes_hold_invariants_under_dual_plane_faults() {
     let dist = web_search();
-    for scheme in [
-        Scheme::Ecmp,
-        Scheme::EdgeFlowlet,
-        Scheme::CloveEcn,
-        Scheme::CloveInt,
-        Scheme::Conga,
-        Scheme::Mptcp { subflows: 4 },
-        Scheme::Presto { oracle_weights: None },
-    ] {
+    for scheme in
+        [Scheme::Ecmp, Scheme::EdgeFlowlet, Scheme::CloveEcn, Scheme::CloveInt, Scheme::Conga, Scheme::Mptcp { subflows: 4 }, Scheme::Presto { weights: None }]
+    {
         let s = strict_scenario(scheme.clone(), 7);
         let scheme = &s.scheme;
         let out = s.run_rpc(&dist);

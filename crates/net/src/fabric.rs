@@ -893,6 +893,8 @@ impl<H: HostLogic> Network<H> {
 impl<H: HostLogic> World for Network<H> {
     type Event = Event;
 
+    // Inlined into the event loop (see `clove_sim::run_controlled`).
+    #[inline]
     fn handle(&mut self, now: Time, event: Event, queue: &mut EventQueue<Event>) {
         self.profile.record(event.kind_index(), now.0);
         match event {

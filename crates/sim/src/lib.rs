@@ -82,6 +82,13 @@ pub fn run<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>, horizon: T
 /// [`progress::PROGRESS_STRIDE`] events, so the hot loop stays free of
 /// per-event atomic traffic and cancellation latency is bounded by the
 /// stride. With `control = None` this is exactly [`run`].
+///
+/// `#[inline]` here and on `pop_run`, `unpop_run` and the fabric's `handle`
+/// gives every caller its own copy of the event loop in its codegen unit.
+/// Without it, rustc's codegen-unit partitioning of the instantiating crate
+/// decides whether the loop and its per-batch callees land together, and
+/// an unrelated edit there can split them and slow every run.
+#[inline]
 pub fn run_controlled<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>, horizon: Time, control: Option<&RunControl>) -> RunSummary {
     let mut events = 0u64;
     let mut end_time = Time::ZERO;

@@ -17,9 +17,10 @@
 //!   near-constant link-latency offsets that dominate the simulator's event
 //!   mix.
 //! * [`QueueBackend::Heap`] — the original `BinaryHeap` implementation, kept
-//!   as a differential-testing oracle (`--queue heap` on the experiment
-//!   bins). Both backends pop byte-identical `(time, seq, event)` sequences;
-//!   `tests` and the differential proptest in this module pin that.
+//!   as the reference the tests compare the wheel against. Both backends pop
+//!   byte-identical `(time, seq, event)` sequences; `tests`, the
+//!   differential proptest in `tests/` and the harness's `backend_identity`
+//!   suite pin that.
 //!
 //! The wheel keeps the earliest run of events eagerly staged in a `current`
 //! buffer (non-empty whenever the queue is non-empty), which is what makes
@@ -68,29 +69,8 @@ pub enum QueueBackend {
     /// Hierarchical timing wheel (the fast default).
     #[default]
     Wheel,
-    /// The original binary heap — the differential-testing oracle.
+    /// The original binary heap — the test oracle.
     Heap,
-}
-
-impl QueueBackend {
-    /// The CLI name (`--queue <name>`).
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueBackend::Wheel => "wheel",
-            QueueBackend::Heap => "heap",
-        }
-    }
-}
-
-impl std::str::FromStr for QueueBackend {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "wheel" => Ok(QueueBackend::Wheel),
-            "heap" => Ok(QueueBackend::Heap),
-            other => Err(format!("unknown queue backend {other:?} (expected \"wheel\" or \"heap\")")),
-        }
-    }
 }
 
 /// Event-mix statistics the queue gathers as it runs: how deep the pending
@@ -468,14 +448,6 @@ impl<E> EventQueue<E> {
         EventQueue { core, next_seq: 0, pushed: 0, last_pop: 0, profile: QueueProfile::default() }
     }
 
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match &self.core {
-            Core::Wheel(_) => QueueBackend::Wheel,
-            Core::Heap(_) => QueueBackend::Heap,
-        }
-    }
-
     /// Schedule `event` to fire at `at`.
     pub fn push(&mut self, at: Time, event: E) {
         let seq = self.next_seq;
@@ -525,6 +497,7 @@ impl<E> EventQueue<E> {
     /// allocation swap: the staged `current` buffer trades places with
     /// `out`, so a run loop that alternates `pop_run`/drain never copies
     /// events or allocates in steady state.
+    #[inline]
     pub fn pop_run(&mut self, out: &mut VecDeque<ScheduledEvent<E>>) -> Option<Time> {
         out.clear();
         let t = match &mut self.core {
@@ -566,6 +539,7 @@ impl<E> EventQueue<E> {
     /// and handlers only scheduled at or after "now".
     ///
     /// [`pop_run`]: EventQueue::pop_run
+    #[inline]
     pub fn unpop_run(&mut self, rest: &mut VecDeque<ScheduledEvent<E>>) {
         if rest.is_empty() {
             return;
@@ -890,13 +864,8 @@ mod tests {
     }
 
     #[test]
-    fn backend_parse_and_name() {
-        assert_eq!("wheel".parse::<QueueBackend>().unwrap(), QueueBackend::Wheel);
-        assert_eq!("heap".parse::<QueueBackend>().unwrap(), QueueBackend::Heap);
-        assert!("btree".parse::<QueueBackend>().is_err());
+    fn default_backend_is_the_wheel() {
         assert_eq!(QueueBackend::default(), QueueBackend::Wheel);
-        assert_eq!(QueueBackend::Wheel.name(), "wheel");
-        assert_eq!(QueueBackend::Heap.name(), "heap");
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn run(scheme: Scheme) -> clove::harness::RpcOutcome {
 
 #[test]
 fn presto_sprays_but_completes_cleanly() {
-    let out = run(Scheme::Presto { oracle_weights: None });
+    let out = run(Scheme::Presto { weights: None });
     assert_eq!(out.fct.incomplete, 0);
     assert!(out.fct.avg() > 0.0);
 }
@@ -28,7 +28,7 @@ fn presto_reassembly_reduces_spurious_recoveries() {
     // fast-retransmit counts against Edge-Flowlet (which sprays without
     // reassembly): Presto must trigger fewer recoveries per delivered
     // byte even though it re-routes more often.
-    let presto = run(Scheme::Presto { oracle_weights: None });
+    let presto = run(Scheme::Presto { weights: None });
     let ef = run(Scheme::EdgeFlowlet);
     let presto_rate = presto.fast_retransmits as f64 / presto.fct.all.count().max(1) as f64;
     let ef_rate = ef.fast_retransmits as f64 / ef.fct.all.count().max(1) as f64;
@@ -37,7 +37,7 @@ fn presto_reassembly_reduces_spurious_recoveries() {
 
 #[test]
 fn presto_oracle_weights_shift_load_under_asymmetry() {
-    let mut s = Scenario::new(Scheme::Presto { oracle_weights: Some(vec![0.33, 0.33, 0.17, 0.17]) }, TopologyKind::Asymmetric, 0.6, 99);
+    let mut s = Scenario::new(Scheme::Presto { weights: Some(vec![0.33, 0.33, 0.17, 0.17]) }, TopologyKind::Asymmetric, 0.6, 99);
     s.jobs_per_conn = 20;
     s.conns_per_client = 1;
     s.horizon = Time::from_secs(20);

@@ -53,7 +53,7 @@ fn mptcp_completes_symmetric() {
 
 #[test]
 fn presto_completes_symmetric() {
-    assert_completes(Scheme::Presto { oracle_weights: None }, TopologyKind::Symmetric);
+    assert_completes(Scheme::Presto { weights: None }, TopologyKind::Symmetric);
 }
 
 #[test]
