@@ -23,7 +23,7 @@ use crate::scheme::Scheme;
 use clove_core::{DiscoveryEvent, ProbeDaemon};
 use clove_net::packet::{Packet, PacketKind};
 use clove_net::types::{FlowKey, HostId};
-use clove_net::{HostCtx, HostLogic};
+use clove_net::{HostCtx, HostLogic, PacketId};
 use clove_overlay::VSwitch;
 use clove_sim::{Duration, SimRng, Time};
 use clove_tcp::{MptcpConnection, MptcpReceiver, TcpConfig, TcpReceiver, TcpSender};
@@ -518,7 +518,8 @@ impl HostStack {
 }
 
 impl HostLogic for HostStack {
-    fn on_packet(&mut self, host: HostId, pkt: Packet, ctx: &mut HostCtx<'_>) {
+    fn on_packet(&mut self, host: HostId, pkt: PacketId, ctx: &mut HostCtx<'_>) {
+        let pkt = ctx.take(pkt);
         let hi = host.0 as usize;
         let now = ctx.now;
         // Probe replies are control traffic consumed before decap.

@@ -34,13 +34,13 @@ impl Dre {
 
     /// Apply all decay steps that elapsed up to `now`.
     fn decay_to(&mut self, now: Time) {
-        if now <= self.last_decay {
+        let elapsed = now.saturating_since(self.last_decay).as_nanos();
+        // Most transmits on a busy link are less than one period apart:
+        // return before paying for the division.
+        if elapsed < self.period.as_nanos() {
             return;
         }
-        let steps = now.saturating_since(self.last_decay).as_nanos() / self.period.as_nanos();
-        if steps == 0 {
-            return;
-        }
+        let steps = elapsed / self.period.as_nanos();
         // (1-alpha)^steps with exponentiation by squaring via powi for
         // moderate step counts; large counts collapse to ~0 quickly.
         if steps > 4096 {
@@ -152,5 +152,68 @@ mod tests {
     fn quantized_zero_when_idle() {
         let mut d = dre();
         assert_eq!(d.quantized(Time::from_secs(1), 3), 0);
+    }
+
+    /// The estimator with the decay rule as it was before the sub-period
+    /// fast path: the reference the fast path must match bit for bit.
+    struct Reference {
+        x_bytes: f64,
+        alpha: f64,
+        period: Duration,
+        last_decay: Time,
+        capacity_bps: u64,
+    }
+
+    impl Reference {
+        fn decay_to(&mut self, now: Time) {
+            if now <= self.last_decay {
+                return;
+            }
+            let steps = now.saturating_since(self.last_decay).as_nanos() / self.period.as_nanos();
+            if steps == 0 {
+                return;
+            }
+            if steps > 4096 {
+                self.x_bytes = 0.0;
+            } else {
+                self.x_bytes *= (1.0 - self.alpha).powi(steps as i32);
+            }
+            self.last_decay += Duration::from_nanos(steps * self.period.as_nanos());
+        }
+
+        fn utilization(&mut self, now: Time) -> f64 {
+            self.decay_to(now);
+            self.x_bytes * 8.0 * self.alpha / self.period.as_secs_f64() / self.capacity_bps as f64
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_reference_decay_bit_for_bit() {
+        let (alpha, period, capacity) = (0.1, Duration::from_micros(50), 10_000_000_000);
+        let mut fast = Dre::new(alpha, period, capacity);
+        let mut slow = Reference { x_bytes: 0.0, alpha, period, last_decay: Time::ZERO, capacity_bps: capacity };
+        let mut rng = clove_sim::SimRng::new(0xD4E);
+        let mut now = Time::ZERO;
+        for _ in 0..200_000 {
+            // Mostly sub-period gaps (back-to-back packets), some spanning
+            // several periods, rarely an idle stretch past the 4096-step cut.
+            let gap = match rng.below(100) {
+                0 => rng.range(4096 * 50_000, 5000 * 50_000),
+                1..=9 => rng.range(50_000, 1_000_000),
+                _ => rng.below(50_000),
+            };
+            now += Duration::from_nanos(gap);
+            if rng.chance(0.7) {
+                let bytes = rng.range(64, 9001) as u32;
+                fast.on_transmit(now, bytes);
+                slow.decay_to(now);
+                slow.x_bytes += bytes as f64;
+            } else {
+                let u = slow.utilization(now);
+                let (pm, q) = ((u * 1000.0).round().clamp(0.0, 2000.0) as u16, (u.clamp(0.0, 1.0) * 7.0).round() as u8);
+                assert_eq!((fast.utilization_pm(now), fast.quantized(now, 3)), (pm, q), "at {now:?}");
+                assert_eq!(fast.utilization(now).to_bits(), u.to_bits());
+            }
+        }
     }
 }

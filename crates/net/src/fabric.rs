@@ -8,9 +8,11 @@
 //!
 //! ## Event flow
 //!
-//! * A host calls [`HostCtx::send`] → packet enqueued on its uplink; if the
-//!   transmitter was idle its `Arrive{node, via}` (serialization + one
-//!   propagation delay later) is scheduled immediately.
+//! * A host calls [`HostCtx::send`] → packet parked in the fabric's
+//!   [`PacketSlab`] and its [`PacketId`] enqueued on the host's uplink; if
+//!   the transmitter was idle its `Arrive{node, via, pkt}` (serialization +
+//!   one propagation delay later) is scheduled immediately. Events carry
+//!   only the handle; each hop mutates the parked packet in place.
 //! * `Arrive{node, via}` first settles `via` ([`Fabric::settle_link`]):
 //!   every queued packet whose serialization has started by now is committed
 //!   back-to-back and its own `Arrive` scheduled — there is no per-packet
@@ -18,15 +20,19 @@
 //! * `Arrive` at a switch → [`Fabric::switch_receive`]: TTL handling
 //!   (probe expiry → ProbeReply), scheme-specific egress selection (ECMP /
 //!   LetFlow / CONGA), enqueue on the chosen egress link.
-//! * `Arrive` at a host → handed to [`HostLogic::on_packet`].
+//! * `Arrive` at a host → handed to [`HostLogic::on_packet`], which takes
+//!   the packet out of the slab ([`HostCtx::take`]). Every drop (overflow,
+//!   link down, injected loss, no route, TTL expiry, HULA absorption)
+//!   releases its slot instead.
 //! * `HostTimer` → handed to [`HostLogic::on_timer`].
 //! * `LinkAdmin` → link state flips and routes are recomputed — this is
 //!   how experiments inject mid-run failures.
 
 use crate::fault::{ControlAction, ControlFaultStats, FaultStats, LinkAction, NodeSelector};
 use crate::hash::ecmp_select;
-use crate::link::Link;
+use crate::link::{EnqueueOutcome, Link};
 use crate::packet::{CongaTag, Feedback, Packet, PacketKind};
+use crate::slab::{PacketId, PacketSlab};
 use crate::switch::{CongaConfig, FabricScheme, FlowletEntry, Switch};
 use crate::types::{FlowKey, HostId, LinkId, NodeId, SwitchId};
 use clove_sim::{Duration, EventQueue, SimRng, Time, World};
@@ -44,17 +50,16 @@ pub struct HostAttachment {
 }
 
 /// Simulation events understood by [`Network`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Event {
-    /// A packet reaches `node` having traversed `via` (None only for
-    /// packets injected directly, which does not happen in practice).
+    /// A packet reaches `node` having traversed `via`.
     Arrive {
         /// The node receiving the packet.
         node: NodeId,
         /// The link it arrived on (probe replies need the ingress id).
         via: LinkId,
-        /// The packet itself.
-        pkt: Packet,
+        /// The packet, parked in the fabric's [`PacketSlab`].
+        pkt: PacketId,
     },
     /// Opaque host-level timer (TCP RTO, probe rounds, app arrivals...).
     HostTimer {
@@ -197,10 +202,12 @@ pub struct Fabric {
     trace: Trace,
     /// Packet uid source for switch-originated packets (probe replies).
     next_uid: u64,
+    /// Every packet in flight; events and link FIFOs hold handles into it.
+    pub(crate) packets: PacketSlab,
     /// Scratch for link settle/enqueue commits, drained into `Arrive`
     /// events immediately after each call; pre-sized so the deepest
     /// single-link backlog in the topology settles without reallocating.
-    commit_scratch: Vec<(Time, Packet)>,
+    commit_scratch: Vec<(Time, PacketId)>,
 }
 
 impl Fabric {
@@ -220,6 +227,7 @@ impl Fabric {
             trace: Trace::disabled(),
             // High bit set: never collides with host-assigned uids.
             next_uid: 1 << 63,
+            packets: PacketSlab::default(),
             commit_scratch: Vec::with_capacity(scratch),
         }
     }
@@ -244,6 +252,12 @@ impl Fabric {
         &mut self.links[id.0 as usize]
     }
 
+    /// Packets parked in the fabric: sent or generated, and not yet
+    /// delivered or dropped.
+    pub fn packets_in_flight(&self) -> usize {
+        self.packets.in_flight()
+    }
+
     fn fresh_uid(&mut self) -> u64 {
         self.next_uid += 1;
         self.next_uid
@@ -255,7 +269,8 @@ impl Fabric {
             return;
         }
         let uplink = self.hosts[host.0 as usize].uplink;
-        self.enqueue_on(now, uplink, pkt, q);
+        let id = self.packets.park(pkt);
+        self.enqueue_on(now, uplink, id, q);
     }
 
     /// Apply active control-plane faults to one outbound packet. Returns
@@ -288,7 +303,8 @@ impl Fabric {
                 let carrier = self.feedback_carrier(now, pkt, fb);
                 let dst = carrier.routed_dst();
                 let downlink = self.hosts[dst.0 as usize].downlink;
-                q.push(now + self.control.feedback_delay, Event::Arrive { node: NodeId::Host(dst), via: downlink, pkt: carrier });
+                let pkt = self.packets.park(carrier);
+                q.push(now + self.control.feedback_delay, Event::Arrive { node: NodeId::Host(dst), via: downlink, pkt });
             }
         }
         true
@@ -334,16 +350,18 @@ impl Fabric {
         self.stats.control
     }
 
-    /// Enqueue on a specific link, scheduling an `Arrive` for every packet
-    /// the link commits (the offered packet if the transmitter was idle,
-    /// plus any backlog the pre-admission settle drained).
-    fn enqueue_on(&mut self, now: Time, link: LinkId, pkt: Packet, q: &mut EventQueue<Event>) {
+    /// Enqueue a parked packet on a specific link, scheduling an `Arrive`
+    /// for every packet the link commits (the offered packet if the
+    /// transmitter was idle, plus any backlog the pre-admission settle
+    /// drained). A dropped packet's slot is released.
+    fn enqueue_on(&mut self, now: Time, link: LinkId, id: PacketId, q: &mut EventQueue<Event>) {
         // Injected stochastic loss (fault injection): the coin is flipped
         // here rather than in `Link` so the link stays deterministic and the
         // fabric's seeded RNG governs all randomness.
         let l = &mut self.links[link.0 as usize];
         if l.loss_rate() > 0.0 && self.rng.chance(l.loss_rate()) {
             l.stats.drops_loss += 1;
+            self.packets.release(id);
             return;
         }
         let to = l.to;
@@ -352,7 +370,10 @@ impl Fabric {
         // the trace how many CE marks this admission applied without adding
         // any state to the link hot path.
         let marks_before = if self.trace.is_enabled() { self.links[link.0 as usize].stats.ecn_marks } else { 0 };
-        let _ = self.links[link.0 as usize].enqueue(now, pkt, &mut self.commit_scratch);
+        let pkt = &mut self.packets[&id];
+        if let EnqueueOutcome::Dropped(id) = self.links[link.0 as usize].enqueue(now, id, pkt, &mut self.commit_scratch) {
+            self.packets.release(id);
+        }
         if self.trace.is_enabled() {
             let delta = self.links[link.0 as usize].stats.ecn_marks - marks_before;
             if delta > 0 {
@@ -393,8 +414,11 @@ impl Fabric {
     }
 
     /// A packet arrives at a switch: forward it.
-    pub fn switch_receive(&mut self, now: Time, sw: SwitchId, via: LinkId, mut pkt: Packet, q: &mut EventQueue<Event>) {
+    pub fn switch_receive(&mut self, now: Time, sw: SwitchId, via: LinkId, id: PacketId, q: &mut EventQueue<Event>) {
+        let pkt = &mut self.packets[&id];
         if let PacketKind::HulaProbe { tor, util_pm } = pkt.kind {
+            // Absorbed here; `hula_probe` re-floods fresh probes.
+            self.packets.release(id);
             if let FabricScheme::Hula(cfg) = self.scheme {
                 self.hula_probe(now, sw, via, tor, util_pm, cfg, q);
             }
@@ -404,7 +428,10 @@ impl Fabric {
         // switch and the ingress interface — the Paris-traceroute analogue
         // Clove's path discovery is built on (paper §3.1).
         if pkt.ttl <= 1 {
-            if let PacketKind::Probe { probe_id, ttl_sent } = pkt.kind {
+            // Expired packets (probe or not) are dropped.
+            let (kind, src) = (pkt.kind, pkt.routed_key().src);
+            self.packets.release(id);
+            if let PacketKind::Probe { probe_id, ttl_sent } = kind {
                 // Injected reply loss: the ICMP time-exceeded never forms
                 // (rate-limited ICMP generation is the real-world analogue).
                 if self.control.reply_loss > 0.0 && self.rng.chance(self.control.reply_loss) {
@@ -412,7 +439,6 @@ impl Fabric {
                     return;
                 }
                 self.stats.probe_replies += 1;
-                let src = pkt.routed_key().src;
                 let reply_kind = PacketKind::ProbeReply { probe_id, ttl_sent, switch: sw, ingress: Some(via) };
                 let mut reply = Packet::new(
                     self.fresh_uid(),
@@ -422,21 +448,22 @@ impl Fabric {
                     reply_kind,
                 );
                 reply.sent_at = now;
+                let reply = self.packets.park(reply);
                 self.forward_from_switch(now, sw, reply, q);
             }
-            // Expired packets (probe or not) are dropped.
             return;
         }
         pkt.ttl -= 1;
 
         // CONGA dest-leaf processing happens when the packet is about to
         // exit toward a local host.
-        self.forward_from_switch(now, sw, pkt, q);
+        self.forward_from_switch(now, sw, id, q);
     }
 
     /// Core egress selection + enqueue at a switch.
-    fn forward_from_switch(&mut self, now: Time, sw: SwitchId, mut pkt: Packet, q: &mut EventQueue<Event>) {
-        let dst = pkt.routed_dst();
+    fn forward_from_switch(&mut self, now: Time, sw: SwitchId, id: PacketId, q: &mut EventQueue<Event>) {
+        let key = self.packets[&id].routed_key();
+        let dst = key.dst;
         let swi = sw.0 as usize;
         // Copy the ECMP group into a stack buffer (groups are tiny; this
         // keeps the per-packet path allocation-free).
@@ -449,6 +476,7 @@ impl Fabric {
             }
             _ => {
                 self.stats.no_route_drops += 1;
+                self.packets.release(id);
                 return;
             }
         };
@@ -475,32 +503,31 @@ impl Fabric {
             0
         } else {
             match self.scheme {
-                FabricScheme::Ecmp => ecmp_select(&pkt.routed_key(), self.switches[swi].seed, group.len()),
-                FabricScheme::LetFlow(cfg) => self.letflow_choice(now, swi, &pkt, group.len(), cfg.flowlet_gap),
-                FabricScheme::Conga(cfg) => self.conga_choice(now, swi, &mut pkt, group, cfg),
-                FabricScheme::Hula(cfg) => self.hula_choice(now, swi, &pkt, group, cfg),
+                FabricScheme::Ecmp => ecmp_select(&key, self.switches[swi].seed, group.len()),
+                FabricScheme::LetFlow(cfg) => self.letflow_choice(now, swi, key, group.len(), cfg.flowlet_gap),
+                FabricScheme::Conga(cfg) => self.conga_choice(now, swi, &id, key, group, cfg),
+                FabricScheme::Hula(cfg) => self.hula_choice(now, swi, key, group, cfg),
             }
         };
+        let egress = self.switches[swi].ports[group[choice % group.len()]];
 
-        // CONGA: processing at the destination leaf (packet exits fabric).
-        if last_hop {
-            if let (FabricScheme::Conga(cfg), Some(tag)) = (self.scheme, pkt.conga) {
-                self.conga_dest_leaf(now, swi, &pkt, tag, cfg);
+        if let FabricScheme::Conga(cfg) = self.scheme {
+            if let Some(mut tag) = self.packets[&id].conga {
+                // Processing at the destination leaf (packet exits fabric).
+                if last_hop {
+                    self.conga_dest_leaf(now, swi, key, tag);
+                }
+                // Every hop folds its chosen egress DRE into the metric.
+                let qz = self.links[egress.0 as usize].dre.quantized(now, cfg.quant_bits);
+                tag.ce = tag.ce.max(qz);
+                self.packets[&id].conga = Some(tag);
             }
         }
-
-        let egress = self.switches[swi].ports[group[choice % group.len()]];
-        // CONGA: every hop folds its chosen egress DRE into the metric.
-        if let (FabricScheme::Conga(cfg), Some(tag)) = (self.scheme, pkt.conga.as_mut()) {
-            let qz = self.links[egress.0 as usize].dre.quantized(now, cfg.quant_bits);
-            tag.ce = tag.ce.max(qz);
-        }
-        self.enqueue_on(now, egress, pkt, q);
+        self.enqueue_on(now, egress, id, q);
     }
 
     /// LetFlow: per-switch flowlet table; random member per new flowlet.
-    fn letflow_choice(&mut self, now: Time, swi: usize, pkt: &Packet, n: usize, gap: Duration) -> usize {
-        let key = pkt.routed_key();
+    fn letflow_choice(&mut self, now: Time, swi: usize, key: FlowKey, n: usize, gap: Duration) -> usize {
         let fresh = self.rng.below(n as u64) as usize;
         let entry = self.switches[swi].letflow_table.entry(key).or_insert(FlowletEntry { port_choice: fresh, last_seen: now });
         if now.saturating_since(entry.last_seen) > gap {
@@ -510,14 +537,14 @@ impl Fabric {
         entry.port_choice % n
     }
 
-    /// CONGA source-leaf / spine egress choice.
-    fn conga_choice(&mut self, now: Time, swi: usize, pkt: &mut Packet, group: &[usize], cfg: CongaConfig) -> usize {
+    /// CONGA source-leaf / spine egress choice; a source leaf stamps the
+    /// packet's forward tag.
+    fn conga_choice(&mut self, now: Time, swi: usize, id: &PacketId, key: FlowKey, group: &[usize], cfg: CongaConfig) -> usize {
         let is_leaf = self.switches[swi].is_leaf;
-        if !is_leaf || pkt.conga.is_some() {
+        if !is_leaf || self.packets[id].conga.is_some() {
             // Spine (or transit leaf): local decision among parallel trunk
             // members — least-loaded by local DRE, but pinned per flowlet
             // so parallel cables don't reorder a flowlet's packets.
-            let key = pkt.routed_key();
             let need_new = match self.switches[swi].letflow_table.get(&key) {
                 Some(e) => now.saturating_since(e.last_seen) > cfg.flowlet_gap,
                 None => true,
@@ -531,8 +558,7 @@ impl Fabric {
             return choice;
         }
         // Source leaf: flowlet table + congestion-to-leaf table.
-        let dst_leaf = self.leaf_of(pkt.routed_dst()).0;
-        let key = pkt.routed_key();
+        let dst_leaf = self.leaf_of(key.dst).0;
         let need_new = match self.switches[swi].conga.flowlets.get(&key) {
             Some(e) => now.saturating_since(e.last_seen) > cfg.flowlet_gap,
             None => true,
@@ -543,7 +569,7 @@ impl Fabric {
         // Stamp the forward tag; attach pending feedback for the reverse
         // direction (dest leaf of *this* packet = the leaf we owe metrics).
         let fb = Self::conga_take_feedback(&mut self.switches[swi], dst_leaf);
-        pkt.conga = Some(CongaTag { lbtag: choice as u8, ce: 0, fb });
+        self.packets[id].conga = Some(CongaTag { lbtag: choice as u8, ce: 0, fb });
         choice
     }
 
@@ -614,8 +640,8 @@ impl Fabric {
 
     /// Destination-leaf CONGA processing: record the arriving metric and
     /// absorb any piggybacked feedback.
-    fn conga_dest_leaf(&mut self, now: Time, swi: usize, pkt: &Packet, tag: CongaTag, _cfg: CongaConfig) {
-        let src_leaf = self.leaf_of(pkt.routed_key().src).0;
+    fn conga_dest_leaf(&mut self, now: Time, swi: usize, key: FlowKey, tag: CongaTag) {
+        let src_leaf = self.leaf_of(key.src).0;
         let sw = &mut self.switches[swi];
         // from_leaf[src_leaf][lbtag] = ce — metrics we owe back to src_leaf.
         let v = sw.conga.from_leaf.entry(src_leaf).or_default();
@@ -637,14 +663,13 @@ impl Fabric {
 
     /// HULA data plane: route the flowlet on the best next hop toward the
     /// destination's ToR; fall back to ECMP when no fresh entry exists.
-    fn hula_choice(&mut self, now: Time, swi: usize, pkt: &Packet, group: &[usize], cfg: crate::switch::HulaConfig) -> usize {
-        let key = pkt.routed_key();
+    fn hula_choice(&mut self, now: Time, swi: usize, key: FlowKey, group: &[usize], cfg: crate::switch::HulaConfig) -> usize {
         let need_new = match self.switches[swi].letflow_table.get(&key) {
             Some(e) => now.saturating_since(e.last_seen) > cfg.flowlet_gap,
             None => true,
         };
         let choice = if need_new {
-            let tor = self.leaf_of(pkt.routed_dst()).0;
+            let tor = self.leaf_of(key.dst).0;
             match self.switches[swi].hula_best.get(&tor) {
                 Some(&(port, _, at)) if now.saturating_since(at) <= cfg.entry_age => {
                     // The best hop is a port index; map into the ECMP
@@ -706,6 +731,7 @@ impl Fabric {
                 PacketKind::HulaProbe { tor, util_pm: path_util },
             );
             probe.sent_at = now;
+            let probe = self.packets.park(probe);
             self.enqueue_on(now, l, probe, q);
         }
     }
@@ -732,6 +758,7 @@ impl Fabric {
                     PacketKind::HulaProbe { tor, util_pm: 0 },
                 );
                 probe.sent_at = now;
+                let probe = self.packets.park(probe);
                 self.enqueue_on(now, l, probe, q);
             }
         }
@@ -743,7 +770,7 @@ impl Fabric {
     /// serialization had not started by `now`.
     pub fn set_link_admin(&mut self, now: Time, link: LinkId, up: bool, q: &mut EventQueue<Event>) {
         self.settle_link(now, link, q);
-        self.links[link.0 as usize].set_up(up);
+        self.links[link.0 as usize].set_up(up, &mut self.packets);
         crate::topology::recompute_routes(self);
     }
 
@@ -758,11 +785,11 @@ impl Fabric {
         let l = &mut self.links[link.0 as usize];
         let routes_change = match action {
             LinkAction::Down => {
-                l.set_up_at(now, false);
+                l.set_up_at(now, false, &mut self.packets);
                 announced
             }
             LinkAction::Up => {
-                l.set_up_at(now, true);
+                l.set_up_at(now, true, &mut self.packets);
                 announced
             }
             LinkAction::SetRate(fraction) => {
@@ -814,8 +841,9 @@ impl Fabric {
 /// Implemented by `clove-harness`'s `HostStack`; kept abstract here so the
 /// fabric layer has no upward dependencies.
 pub trait HostLogic {
-    /// A packet was delivered to `host`'s NIC.
-    fn on_packet(&mut self, host: HostId, pkt: Packet, ctx: &mut HostCtx<'_>);
+    /// A packet was delivered to `host`'s NIC. The packet is still parked
+    /// in the fabric: take it with [`HostCtx::take`].
+    fn on_packet(&mut self, host: HostId, pkt: PacketId, ctx: &mut HostCtx<'_>);
     /// A timer set through [`HostCtx::timer_in`] fired.
     fn on_timer(&mut self, host: HostId, token: u64, ctx: &mut HostCtx<'_>);
     /// The hypervisor under `host` restarted after a crash ([`Event::NodeFault`]
@@ -837,6 +865,11 @@ pub struct HostCtx<'a> {
 }
 
 impl HostCtx<'_> {
+    /// Take a delivered packet out of the fabric.
+    pub fn take(&mut self, pkt: PacketId) -> Packet {
+        self.fabric.packets.take(pkt)
+    }
+
     /// Transmit a packet onto this host's access uplink.
     pub fn send(&mut self, pkt: Packet) {
         self.fabric.host_transmit(self.now, self.host, pkt, self.queue);

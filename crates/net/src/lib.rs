@@ -17,6 +17,8 @@
 //! * [`hash`] — the per-switch seeded ECMP hash.
 //! * [`dre`] — the discounting rate estimator used for link utilization
 //!   (CONGA's estimator; also drives INT and utilization reports).
+//! * [`slab`] — the fabric's store of in-flight packets; events and link
+//!   queues carry 4-byte [`slab::PacketId`] handles into it.
 //! * [`link`] — a directed link: serialization + propagation delay, FIFO
 //!   drop-tail queue, ECN marking, DRE.
 //! * [`switch`] — switch state: ports, ECMP route table, optional CONGA /
@@ -46,6 +48,7 @@ pub mod fault;
 pub mod hash;
 pub mod link;
 pub mod packet;
+pub mod slab;
 pub mod switch;
 pub mod topology;
 pub mod types;
@@ -59,6 +62,7 @@ pub use fault::{
 };
 pub use link::{Link, LinkConfig};
 pub use packet::{Encap, Feedback, Packet, PacketKind};
+pub use slab::PacketId;
 pub use switch::{FabricScheme, Switch};
 pub use topology::{LeafSpine, Topology};
 pub use types::{FlowKey, HostId, LinkId, NodeId, SwitchId};

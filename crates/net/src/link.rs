@@ -7,7 +7,9 @@
 //! relies on, paper §3.2), and a [`Dre`] utilization estimator (CONGA / INT).
 //!
 //! The link itself schedules no events — [`crate::fabric`] drives it with
-//! `enqueue` / `settle` calls and owns the event queue. Transmission is
+//! `enqueue` / `settle` calls and owns the event queue. Packets stay parked
+//! in the fabric's [`PacketSlab`]: the FIFO holds only `(PacketId, size)`,
+//! and `enqueue` marks and stamps the parked packet in place. Transmission is
 //! *arrive-driven*: when a packet's serialization starts, its delivery event
 //! (`done + prop_delay`) is emitted immediately, and the rest of the queue is
 //! committed lazily by [`Link::settle`], which drains every packet whose
@@ -21,6 +23,7 @@
 
 use crate::dre::Dre;
 use crate::packet::Packet;
+use crate::slab::{PacketId, PacketSlab};
 use crate::types::{LinkId, NodeId};
 use clove_sim::{Duration, Time};
 use std::collections::VecDeque;
@@ -87,7 +90,7 @@ pub struct LinkStats {
 }
 
 /// What `enqueue` did with the packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum EnqueueOutcome {
     /// Queued (possibly CE-marked); transmitter already busy. The packet is
     /// committed — and its delivery emitted — by a later [`Link::settle`].
@@ -98,8 +101,9 @@ pub enum EnqueueOutcome {
         /// When serialization of this packet completes.
         done_at: Time,
     },
-    /// Dropped (full buffer or link down).
-    Dropped,
+    /// Dropped (full buffer or link down); the handle comes back so the
+    /// caller can release the packet.
+    Dropped(PacketId),
 }
 
 /// One direction of a cable. See module docs.
@@ -122,7 +126,8 @@ pub struct Link {
     pub dre: Dre,
     /// Counters.
     pub stats: LinkStats,
-    queue: VecDeque<Packet>,
+    /// Queued packets with their sizes, so settling never reads the slab.
+    queue: VecDeque<(PacketId, u32)>,
     queue_bytes: u32,
     /// The committed packet on the wire: `(serialization done, size)`. Its
     /// delivery event was emitted when serialization started; only the tx
@@ -132,6 +137,9 @@ pub struct Link {
     /// Fraction of nominal line rate available (fault injection; 1.0 =
     /// healthy).
     rate_fraction: f64,
+    /// `cfg.rate_bps` scaled by `rate_fraction`, recomputed only when the
+    /// fraction changes.
+    effective_rate_bps: u64,
     /// Stochastic per-packet drop probability (fault injection; applied by
     /// the fabric, which owns the RNG — the link just stores the rate).
     loss_rate: f64,
@@ -156,6 +164,7 @@ impl Link {
             queue_bytes: 0,
             in_flight: None,
             rate_fraction: 1.0,
+            effective_rate_bps: scaled_rate(cfg.rate_bps, 1.0),
             loss_rate: 0.0,
             down_since: None,
             degraded_since: None,
@@ -183,12 +192,12 @@ impl Link {
 
     /// The line rate currently available, after any injected degradation.
     pub fn effective_rate_bps(&self) -> u64 {
-        ((self.cfg.rate_bps as f64 * self.rate_fraction) as u64).max(1)
+        self.effective_rate_bps
     }
 
     /// Time to serialize `bytes` on this link at its *effective* rate.
     pub fn ser_time(&self, bytes: u32) -> Duration {
-        Duration::for_bytes_at(bytes as u64, self.effective_rate_bps())
+        Duration::for_bytes_at(bytes as u64, self.effective_rate_bps)
     }
 
     /// Current injected stochastic loss rate (0.0 when healthy).
@@ -214,14 +223,14 @@ impl Link {
     /// every in-flight packet whose serialization completed by `now` and
     /// commit the queued packets whose serialization therefore started, in
     /// one back-to-back batch. Each committed packet's delivery is appended
-    /// to `out` as `(arrival_time, packet)` — always `≥ now`, because the
+    /// to `out` as `(arrival_time, id)` — always `≥ now`, because the
     /// predecessor's delivery (which triggers this settle) lands exactly one
     /// propagation delay after its serialization finished.
     ///
     /// Called before any read or mutation that depends on transmitter
     /// state: enqueue admission, DRE reads at path choice, fault
     /// application, and final stats collection.
-    pub fn settle(&mut self, now: Time, out: &mut Vec<(Time, Packet)>) {
+    pub fn settle(&mut self, now: Time, out: &mut Vec<(Time, PacketId)>) {
         while let Some((done, size)) = self.in_flight {
             if done > now {
                 break;
@@ -229,35 +238,36 @@ impl Link {
             self.in_flight = None;
             self.stats.tx_packets += 1;
             self.stats.tx_bytes += size as u64;
-            let Some(next) = self.queue.pop_front() else { break };
+            let Some((next, next_size)) = self.queue.pop_front() else { break };
             // The next packet's serialization started the instant the
             // previous one finished — commit it under the current link
             // state (every rate change settles first, so that state is the
             // one in force at `done`).
-            self.queue_bytes -= next.size;
-            let next_done = done + self.ser_time(next.size);
-            self.dre.on_transmit(done, next.size);
-            self.in_flight = Some((next_done, next.size));
+            self.queue_bytes -= next_size;
+            let next_done = done + self.ser_time(next_size);
+            self.dre.on_transmit(done, next_size);
+            self.in_flight = Some((next_done, next_size));
             out.push((next_done + self.cfg.prop_delay, next));
         }
     }
 
-    /// Offer a packet to this egress port at `now`.
+    /// Offer the parked packet `id` (whose slot is `pkt`) to this egress
+    /// port at `now`.
     ///
     /// Settles first, then applies admission (drop-tail), ECN marking, and
-    /// INT stamping. If the transmitter is idle the packet starts
-    /// serializing immediately and its delivery `(arrival_time, packet)` is
-    /// appended to `out`; otherwise it waits in the queue for a later
+    /// INT stamping to `pkt` in place. If the transmitter is idle the packet
+    /// starts serializing immediately and its delivery `(arrival_time, id)`
+    /// is appended to `out`; otherwise it waits in the queue for a later
     /// settle to commit it.
-    pub fn enqueue(&mut self, now: Time, mut pkt: Packet, out: &mut Vec<(Time, Packet)>) -> EnqueueOutcome {
+    pub fn enqueue(&mut self, now: Time, id: PacketId, pkt: &mut Packet, out: &mut Vec<(Time, PacketId)>) -> EnqueueOutcome {
         self.settle(now, out);
         if !self.up {
             self.stats.drops_down += 1;
-            return EnqueueOutcome::Dropped;
+            return EnqueueOutcome::Dropped(id);
         }
         if self.queue_bytes.saturating_add(pkt.size) > self.cfg.buffer_bytes {
             self.stats.drops_overflow += 1;
-            return EnqueueOutcome::Dropped;
+            return EnqueueOutcome::Dropped(id);
         }
         // ECN: mark on enqueue if the standing queue already exceeds the
         // threshold and the packet is ECN-capable.
@@ -277,26 +287,28 @@ impl Link {
             let done_at = now + self.ser_time(pkt.size);
             self.dre.on_transmit(now, pkt.size);
             self.in_flight = Some((done_at, pkt.size));
-            out.push((done_at + self.cfg.prop_delay, pkt));
+            out.push((done_at + self.cfg.prop_delay, id));
             EnqueueOutcome::StartedTx { done_at }
         } else {
             self.queue_bytes += pkt.size;
             self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(self.queue_bytes);
-            self.queue.push_back(pkt);
+            self.queue.push_back((id, pkt.size));
             EnqueueOutcome::Queued
         }
     }
 
     /// Administratively set link state. Taking the link down flushes the
-    /// uncommitted queue (packets are lost, as with a real cable pull); the
-    /// packet currently on the wire is allowed to arrive. Callers settle
-    /// first so "uncommitted" means exactly the packets whose serialization
-    /// had not started.
-    pub fn set_up(&mut self, up: bool) {
+    /// uncommitted queue (packets are lost, as with a real cable pull, and
+    /// released from `packets`); the packet currently on the wire is
+    /// allowed to arrive. Callers settle first so "uncommitted" means
+    /// exactly the packets whose serialization had not started.
+    pub fn set_up(&mut self, up: bool, packets: &mut PacketSlab) {
         self.up = up;
         if !up {
             self.stats.drops_down += self.queue.len() as u64;
-            self.queue.clear();
+            for (id, _) in self.queue.drain(..) {
+                packets.release(id);
+            }
             self.queue_bytes = 0;
         }
     }
@@ -304,7 +316,7 @@ impl Link {
     /// [`Link::set_up`] with down-time accounting against the simulated
     /// clock — fault injection uses this so reports can show how long each
     /// link was dark.
-    pub fn set_up_at(&mut self, now: Time, up: bool) {
+    pub fn set_up_at(&mut self, now: Time, up: bool, packets: &mut PacketSlab) {
         if up {
             if let Some(since) = self.down_since.take() {
                 self.stats.down_time += now.saturating_since(since);
@@ -312,7 +324,7 @@ impl Link {
         } else if self.up && self.down_since.is_none() {
             self.down_since = Some(now);
         }
-        self.set_up(up);
+        self.set_up(up, packets);
     }
 
     /// Degrade (or restore, with 1.0) the line rate. Affects packets whose
@@ -322,6 +334,7 @@ impl Link {
     pub fn set_rate_fraction(&mut self, now: Time, fraction: f64) {
         assert!(fraction > 0.0 && fraction <= 1.0, "rate fraction must be in (0, 1], got {fraction}");
         self.rate_fraction = fraction;
+        self.effective_rate_bps = scaled_rate(self.cfg.rate_bps, fraction);
         self.update_degraded(now);
     }
 
@@ -354,6 +367,11 @@ impl Link {
     }
 }
 
+/// The line rate left at `fraction` of `rate_bps`, never zero.
+fn scaled_rate(rate_bps: u64, fraction: f64) -> u64 {
+    ((rate_bps as f64 * fraction) as u64).max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,11 +400,19 @@ mod tests {
         p
     }
 
+    /// Park `p` in `slab` and offer it to `l`, as the fabric does.
+    fn offer(l: &mut Link, slab: &mut PacketSlab, now: Time, p: Packet, out: &mut Vec<(Time, PacketId)>) -> EnqueueOutcome {
+        let id = slab.park(p);
+        let slot = &mut slab[&id];
+        l.enqueue(now, id, slot, out)
+    }
+
     #[test]
     fn idle_link_starts_transmission() {
         let mut l = link();
+        let mut slab = PacketSlab::default();
         let mut out = Vec::new();
-        match l.enqueue(Time::ZERO, pkt(1, 1500), &mut out) {
+        match offer(&mut l, &mut slab, Time::ZERO, pkt(1, 1500), &mut out) {
             EnqueueOutcome::StartedTx { done_at } => assert_eq!(done_at, Time::from_micros(12)),
             other => panic!("{other:?}"),
         }
@@ -395,15 +421,16 @@ mod tests {
         // The delivery (done + prop) is emitted at start time.
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, Time::from_micros(14));
-        assert_eq!(out[0].1.uid, 1);
+        assert_eq!(slab[&out[0].1].uid, 1);
     }
 
     #[test]
     fn busy_link_queues_then_chains() {
         let mut l = link();
+        let mut slab = PacketSlab::default();
         let mut out = Vec::new();
-        assert!(matches!(l.enqueue(Time::ZERO, pkt(1, 1500), &mut out), EnqueueOutcome::StartedTx { .. }));
-        assert_eq!(l.enqueue(Time::ZERO, pkt(2, 1500), &mut out), EnqueueOutcome::Queued);
+        assert!(matches!(offer(&mut l, &mut slab, Time::ZERO, pkt(1, 1500), &mut out), EnqueueOutcome::StartedTx { .. }));
+        assert_eq!(offer(&mut l, &mut slab, Time::ZERO, pkt(2, 1500), &mut out), EnqueueOutcome::Queued);
         assert_eq!(l.queue_bytes(), 1500);
         // Packet 1 arrives at 14 us; settling there retires it and commits
         // packet 2 back-to-back (starts at 12, done 24, arrives 26).
@@ -411,7 +438,7 @@ mod tests {
         l.settle(Time::from_micros(14), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, Time::from_micros(26));
-        assert_eq!(out[0].1.uid, 2);
+        assert_eq!(slab[&out[0].1].uid, 2);
         assert_eq!(l.queue_bytes(), 0);
         out.clear();
         l.settle(Time::from_micros(26), &mut out);
@@ -424,16 +451,17 @@ mod tests {
     #[test]
     fn settle_drains_whole_backlog_back_to_back() {
         let mut l = link();
+        let mut slab = PacketSlab::default();
         let mut out = Vec::new();
         for i in 0..4 {
-            l.enqueue(Time::ZERO, pkt(i, 1500), &mut out);
+            offer(&mut l, &mut slab, Time::ZERO, pkt(i, 1500), &mut out);
         }
         assert_eq!(out.len(), 1, "only the started packet is committed");
         // One settle far in the future commits the whole chain: packets
         // depart every 12 us, arrivals 2 us after each departure.
         out.clear();
         l.settle(Time::from_millis(1), &mut out);
-        let got: Vec<(u64, u64)> = out.iter().map(|(t, p)| (t.as_nanos() / 1000, p.uid)).collect();
+        let got: Vec<(u64, u64)> = out.iter().map(|(t, id)| (t.as_nanos() / 1000, slab[id].uid)).collect();
         assert_eq!(got, vec![(26, 1), (38, 2), (50, 3)]);
         assert_eq!(l.stats.tx_packets, 4);
         assert!(!l.busy());
@@ -443,32 +471,34 @@ mod tests {
     #[test]
     fn drop_tail_on_overflow() {
         let mut l = link();
+        let mut slab = PacketSlab::default();
         let mut out = Vec::new();
         // 1 in flight + 4 queued fills 6000-byte buffer.
         for i in 0..5 {
-            assert_ne!(l.enqueue(Time::ZERO, pkt(i, 1500), &mut out), EnqueueOutcome::Dropped);
+            assert!(!matches!(offer(&mut l, &mut slab, Time::ZERO, pkt(i, 1500), &mut out), EnqueueOutcome::Dropped(_)));
         }
-        assert_eq!(l.enqueue(Time::ZERO, pkt(9, 1500), &mut out), EnqueueOutcome::Dropped);
+        assert!(matches!(offer(&mut l, &mut slab, Time::ZERO, pkt(9, 1500), &mut out), EnqueueOutcome::Dropped(_)));
         assert_eq!(l.stats.drops_overflow, 1);
     }
 
     #[test]
     fn ecn_marks_above_threshold_only_ect() {
         let mut l = link();
+        let mut slab = PacketSlab::default();
         let mut out = Vec::new();
         // First packet in flight; two queued puts queue at 3000 = threshold.
-        l.enqueue(Time::ZERO, pkt(0, 1500), &mut out);
-        l.enqueue(Time::ZERO, pkt(1, 1500), &mut out);
-        l.enqueue(Time::ZERO, pkt(2, 1500), &mut out);
+        offer(&mut l, &mut slab, Time::ZERO, pkt(0, 1500), &mut out);
+        offer(&mut l, &mut slab, Time::ZERO, pkt(1, 1500), &mut out);
+        offer(&mut l, &mut slab, Time::ZERO, pkt(2, 1500), &mut out);
         // Fourth packet sees queue_bytes = 3000 >= 3000: marked.
-        l.enqueue(Time::ZERO, pkt(3, 1500), &mut out);
+        offer(&mut l, &mut slab, Time::ZERO, pkt(3, 1500), &mut out);
         // Non-ECT packet is never marked.
         let mut non_ect = pkt(4, 100);
         non_ect.ect = false;
-        l.enqueue(Time::ZERO, non_ect, &mut out);
+        offer(&mut l, &mut slab, Time::ZERO, non_ect, &mut out);
         out.clear();
         l.settle(Time::from_millis(1), &mut out);
-        let marked: Vec<(u64, bool)> = out.iter().map(|(_, p)| (p.uid, p.ce)).collect();
+        let marked: Vec<(u64, bool)> = out.iter().map(|(_, id)| (slab[id].uid, slab[id].ce)).collect();
         assert_eq!(marked, vec![(1, false), (2, false), (3, true), (4, false)]);
         assert_eq!(l.stats.ecn_marks, 1);
     }
@@ -480,24 +510,27 @@ mod tests {
         let mut l = Link::new(LinkId(0), NodeId::Switch(SwitchId(0)), NodeId::Host(HostId(0)), c);
         let mut p = pkt(1, 1500);
         p.int_util_pm = Some(700);
+        let mut slab = PacketSlab::default();
         let mut out = Vec::new();
         // Link idle: utilization ~0, running max stays 700.
-        match l.enqueue(Time::ZERO, p, &mut out) {
+        match offer(&mut l, &mut slab, Time::ZERO, p, &mut out) {
             EnqueueOutcome::StartedTx { .. } => {}
             o => panic!("{o:?}"),
         }
-        assert_eq!(out[0].1.int_util_pm, Some(700));
+        assert_eq!(slab[&out[0].1].int_util_pm, Some(700));
     }
 
     #[test]
     fn down_link_drops_and_flushes() {
         let mut l = link();
+        let mut slab = PacketSlab::default();
         let mut out = Vec::new();
-        l.enqueue(Time::ZERO, pkt(1, 1500), &mut out);
-        l.enqueue(Time::ZERO, pkt(2, 1500), &mut out);
-        l.set_up(false);
+        offer(&mut l, &mut slab, Time::ZERO, pkt(1, 1500), &mut out);
+        offer(&mut l, &mut slab, Time::ZERO, pkt(2, 1500), &mut out);
+        l.set_up(false, &mut slab);
         assert_eq!(l.queue_len(), 0);
-        assert_eq!(l.enqueue(Time::ZERO, pkt(3, 1500), &mut out), EnqueueOutcome::Dropped);
+        assert_eq!(slab.in_flight(), 1, "the flushed packet is released; the one on the wire is not");
+        assert!(matches!(offer(&mut l, &mut slab, Time::ZERO, pkt(3, 1500), &mut out), EnqueueOutcome::Dropped(_)));
         assert_eq!(l.stats.drops_down, 2);
         // The in-flight packet still completes (its delivery was emitted at
         // start); settling past its done time books the tx and ends there.
@@ -511,9 +544,10 @@ mod tests {
     #[test]
     fn max_queue_high_water_mark() {
         let mut l = link();
+        let mut slab = PacketSlab::default();
         let mut out = Vec::new();
         for i in 0..4 {
-            l.enqueue(Time::ZERO, pkt(i, 1000), &mut out);
+            offer(&mut l, &mut slab, Time::ZERO, pkt(i, 1000), &mut out);
         }
         assert_eq!(l.stats.max_queue_bytes, 3000);
     }
@@ -521,14 +555,15 @@ mod tests {
     #[test]
     fn down_up_lifecycle_resumes_traffic() {
         let mut l = link();
+        let mut slab = PacketSlab::default();
         let mut out = Vec::new();
         // Busy link with one queued packet, then a cable pull.
-        l.enqueue(Time::ZERO, pkt(1, 1500), &mut out);
-        l.enqueue(Time::ZERO, pkt(2, 1500), &mut out);
-        l.set_up_at(Time::from_micros(5), false);
+        offer(&mut l, &mut slab, Time::ZERO, pkt(1, 1500), &mut out);
+        offer(&mut l, &mut slab, Time::ZERO, pkt(2, 1500), &mut out);
+        l.set_up_at(Time::from_micros(5), false, &mut slab);
         // Queue flushed into drops_down; offers while down also drop.
         assert_eq!(l.queue_len(), 0);
-        assert_eq!(l.enqueue(Time::from_micros(6), pkt(3, 1500), &mut out), EnqueueOutcome::Dropped);
+        assert!(matches!(offer(&mut l, &mut slab, Time::from_micros(6), pkt(3, 1500), &mut out), EnqueueOutcome::Dropped(_)));
         assert_eq!(l.stats.drops_down, 2);
         // The in-flight packet still completes.
         out.clear();
@@ -536,8 +571,8 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(l.stats.tx_packets, 1);
         // Back up: traffic flows again from a clean queue.
-        l.set_up_at(Time::from_micros(105), true);
-        match l.enqueue(Time::from_micros(110), pkt(4, 1500), &mut out) {
+        l.set_up_at(Time::from_micros(105), true, &mut slab);
+        match offer(&mut l, &mut slab, Time::from_micros(110), pkt(4, 1500), &mut out) {
             EnqueueOutcome::StartedTx { done_at } => {
                 assert_eq!(done_at, Time::from_micros(110) + Duration::from_micros(12));
             }
@@ -552,10 +587,11 @@ mod tests {
     #[test]
     fn rate_degrade_stretches_serialization_and_is_timed() {
         let mut l = link();
+        let mut slab = PacketSlab::default();
         let mut out = Vec::new();
         l.set_rate_fraction(Time::from_micros(10), 0.5);
         // Half rate: 1500 B now takes 24 us instead of 12.
-        match l.enqueue(Time::from_micros(10), pkt(1, 1500), &mut out) {
+        match offer(&mut l, &mut slab, Time::from_micros(10), pkt(1, 1500), &mut out) {
             EnqueueOutcome::StartedTx { done_at } => {
                 assert_eq!(done_at, Time::from_micros(34));
             }
@@ -566,7 +602,7 @@ mod tests {
         l.set_rate_fraction(Time::from_micros(50), 1.0);
         assert_eq!(l.stats.degraded_time, Duration::from_micros(40));
         assert_eq!(l.degraded_time_as_of(Time::from_micros(99)), Duration::from_micros(40));
-        match l.enqueue(Time::from_micros(60), pkt(2, 1500), &mut out) {
+        match offer(&mut l, &mut slab, Time::from_micros(60), pkt(2, 1500), &mut out) {
             EnqueueOutcome::StartedTx { done_at } => assert_eq!(done_at, Time::from_micros(72)),
             other => panic!("{other:?}"),
         }
@@ -575,11 +611,13 @@ mod tests {
     #[test]
     fn settle_before_rate_change_commits_at_old_rate() {
         let mut l = link();
+        let mut slab = PacketSlab::default();
         let mut out = Vec::new();
-        l.enqueue(Time::ZERO, pkt(1, 1500), &mut out); // done 12
-        l.enqueue(Time::ZERO, pkt(2, 1500), &mut out); // starts at 12
-                                                       // Fault at t = 15: the fabric settles first, so packet 2 (started
-                                                       // at 12, under the old full rate) is committed with done = 24 ...
+        offer(&mut l, &mut slab, Time::ZERO, pkt(1, 1500), &mut out); // done 12
+        offer(&mut l, &mut slab, Time::ZERO, pkt(2, 1500), &mut out); // starts at 12
+
+        // Fault at t = 15: the fabric settles first, so packet 2 (started
+        // at 12, under the old full rate) is committed with done = 24 ...
         out.clear();
         l.settle(Time::from_micros(15), &mut out);
         assert_eq!(out[0].0, Time::from_micros(26));
@@ -587,7 +625,7 @@ mod tests {
         // ... and only a packet starting after the change is stretched.
         out.clear();
         l.settle(Time::from_micros(24), &mut out);
-        match l.enqueue(Time::from_micros(30), pkt(3, 1500), &mut out) {
+        match offer(&mut l, &mut slab, Time::from_micros(30), pkt(3, 1500), &mut out) {
             EnqueueOutcome::StartedTx { done_at } => assert_eq!(done_at, Time::from_micros(54)),
             other => panic!("{other:?}"),
         }
@@ -607,10 +645,11 @@ mod tests {
     #[test]
     fn open_down_interval_visible_in_as_of() {
         let mut l = link();
-        l.set_up_at(Time::from_micros(10), false);
+        let mut slab = PacketSlab::default();
+        l.set_up_at(Time::from_micros(10), false, &mut slab);
         assert_eq!(l.down_time_as_of(Time::from_micros(35)), Duration::from_micros(25));
         // Redundant downs don't reset the interval start.
-        l.set_up_at(Time::from_micros(20), false);
+        l.set_up_at(Time::from_micros(20), false, &mut slab);
         assert_eq!(l.down_time_as_of(Time::from_micros(35)), Duration::from_micros(25));
     }
 }

@@ -156,15 +156,15 @@ impl Topology {
 
     /// Administratively fail a cable (both directions) and recompute routes.
     pub fn fail_cable(&mut self, cable: (LinkId, LinkId)) {
-        self.fabric.links[cable.0 .0 as usize].set_up(false);
-        self.fabric.links[cable.1 .0 as usize].set_up(false);
+        self.fabric.links[cable.0 .0 as usize].set_up(false, &mut self.fabric.packets);
+        self.fabric.links[cable.1 .0 as usize].set_up(false, &mut self.fabric.packets);
         recompute_routes(&mut self.fabric);
     }
 
     /// Restore a failed cable and recompute routes.
     pub fn restore_cable(&mut self, cable: (LinkId, LinkId)) {
-        self.fabric.links[cable.0 .0 as usize].set_up(true);
-        self.fabric.links[cable.1 .0 as usize].set_up(true);
+        self.fabric.links[cable.0 .0 as usize].set_up(true, &mut self.fabric.packets);
+        self.fabric.links[cable.1 .0 as usize].set_up(true, &mut self.fabric.packets);
         recompute_routes(&mut self.fabric);
     }
 }

@@ -3,12 +3,13 @@
 //! administration — all against the real leaf-spine build.
 
 use clove_net::fabric::Event;
-use clove_net::packet::{Encap, Packet, PacketKind};
+use clove_net::fault::{CableSelector, ControlAction, LinkAction};
+use clove_net::packet::{Encap, Feedback, Packet, PacketKind};
 use clove_net::switch::{CongaConfig, FabricScheme, HulaConfig, LetFlowConfig};
 use clove_net::topology::LeafSpine;
 use clove_net::types::{FlowKey, HostId, LinkId, NodeId, SwitchId, STT_PORT};
-use clove_net::{HostCtx, HostLogic, Network};
-use clove_sim::{Duration, EventQueue, Time};
+use clove_net::{HostCtx, HostLogic, Network, PacketId};
+use clove_sim::{Duration, EventQueue, ScheduledEvent, Time};
 
 /// Records every packet delivered to every host.
 #[derive(Default)]
@@ -17,8 +18,8 @@ struct Recorder {
 }
 
 impl HostLogic for Recorder {
-    fn on_packet(&mut self, host: HostId, pkt: Packet, _ctx: &mut HostCtx<'_>) {
-        self.delivered.push((host, pkt));
+    fn on_packet(&mut self, host: HostId, pkt: PacketId, ctx: &mut HostCtx<'_>) {
+        self.delivered.push((host, ctx.take(pkt)));
     }
     fn on_timer(&mut self, _: HostId, _: u64, _: &mut HostCtx<'_>) {}
 }
@@ -344,4 +345,82 @@ fn no_route_packets_counted_not_panicking() {
     run_all(&mut net, &mut q);
     assert!(net.hosts.delivered.is_empty());
     assert!(net.fabric.stats.no_route_drops >= 1);
+}
+
+#[test]
+fn events_carry_a_handle_not_a_packet() {
+    assert!(std::mem::size_of::<Event>() <= 24, "Event is {} B", std::mem::size_of::<Event>());
+    assert!(std::mem::size_of::<ScheduledEvent<Event>>() <= 40, "ScheduledEvent<Event> is {} B", std::mem::size_of::<ScheduledEvent<Event>>());
+}
+
+#[test]
+fn every_drop_path_releases_its_slab_slot() {
+    let mut spec = LeafSpine::paper_testbed(1.0, 77);
+    spec.scheme = FabricScheme::Ecmp;
+    let topo = spec.build();
+    let (up0, down0) = topo.resolve_cable(CableSelector::Access { host: 0 }).unwrap();
+    let (up1, _) = topo.resolve_cable(CableSelector::Access { host: 1 }).unwrap();
+    let mut net = Network::new(topo.fabric, Recorder::default());
+    let mut q = EventQueue::new();
+
+    // Buffer overflow: a 300-packet burst exceeds host 0's 256 KB uplink
+    // buffer. The announced cable pull at 20 us then flushes the backlog.
+    for i in 0..300 {
+        net.fabric.host_transmit(Time::ZERO, HostId(0), data_packet(i, HostId(0), HostId(16), 5555), &mut q);
+    }
+    for link in [up0, down0] {
+        q.push(Time::from_micros(20), Event::Fault { link, action: LinkAction::Down, announced: true });
+    }
+    // Injected loss on host 1's uplink.
+    net.fabric.apply_fault(Time::ZERO, up1, LinkAction::SetLoss(0.5), false, &mut q);
+    for i in 0..50 {
+        net.fabric.host_transmit(Time::from_micros(i), HostId(1), data_packet(1000 + i, HostId(1), HostId(17), 5555), &mut q);
+    }
+    // TTL expiry: probes that die at hops 1-3 (each elicits a reply) and a
+    // data packet that dies at the first switch.
+    for ttl in 1..=3u8 {
+        let mut probe =
+            Packet::new(2000 + ttl as u64, 100, FlowKey::tcp(HostId(2), HostId(18), 5555, STT_PORT), PacketKind::Probe { probe_id: ttl as u64, ttl_sent: ttl });
+        probe.outer = Some(Encap { src: HostId(2), dst: HostId(18), sport: 5555 });
+        probe.ttl = ttl;
+        net.fabric.host_transmit(Time::ZERO, HostId(2), probe, &mut q);
+    }
+    let mut doomed = data_packet(2100, HostId(2), HostId(18), 5555);
+    doomed.ttl = 1;
+    net.fabric.host_transmit(Time::ZERO, HostId(2), doomed, &mut q);
+    // No route: a destination no switch has a route to.
+    net.fabric.host_transmit(Time::ZERO, HostId(3), data_packet(3000, HostId(3), HostId(999), 5555), &mut q);
+    // A delayed-feedback carrier, parked by the fabric itself.
+    net.fabric.apply_control_fault(ControlAction::SetFeedbackDelay(Duration::from_micros(30)));
+    let mut with_fb = data_packet(4000, HostId(4), HostId(20), 5555);
+    with_fb.feedback = Some(Feedback::Ecn { sport: 5555, congested: true });
+    net.fabric.host_transmit(Time::ZERO, HostId(4), with_fb, &mut q);
+
+    assert!(net.fabric.packets_in_flight() > 0);
+    run_all(&mut net, &mut q);
+
+    let fault = net.fabric.fault_stats(Time::from_secs(1));
+    assert!(fault.drops_overflow > 0, "overflow not exercised");
+    assert!(fault.drops_down > 0, "cable-pull flush not exercised");
+    assert!(fault.drops_loss > 0, "injected loss not exercised");
+    assert_eq!(fault.drops_no_route, 1);
+    assert_eq!(net.fabric.stats.probe_replies, 3);
+    assert_eq!(net.fabric.stats.control.feedback_delayed, 1);
+    let feedback_only = net.hosts.delivered.iter().filter(|(_, p)| matches!(p.kind, PacketKind::FeedbackOnly)).count();
+    assert_eq!(feedback_only, 1);
+    assert_eq!(net.fabric.packets_in_flight(), 0, "a slab slot leaked");
+}
+
+#[test]
+fn absorbed_hula_probes_release_their_slab_slots() {
+    let cfg = HulaConfig::default();
+    let mut net = build(FabricScheme::Hula(cfg));
+    let mut q = EventQueue::new();
+    q.push(Time::ZERO, Event::HulaTick);
+    // Stop halfway between rounds, when the last round's floods have died
+    // out; only the next tick is pending.
+    clove_sim::run(&mut net, &mut q, Time::from_millis(1) + cfg.probe_interval / 2);
+    assert!(net.fabric.switches.iter().any(|sw| !sw.hula_best.is_empty()));
+    assert_eq!(q.len(), 1);
+    assert_eq!(net.fabric.packets_in_flight(), 0, "a slab slot leaked");
 }

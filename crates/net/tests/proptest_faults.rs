@@ -12,7 +12,7 @@ use clove_net::fault::{
 use clove_net::packet::{Feedback, Packet, PacketKind};
 use clove_net::topology::LeafSpine;
 use clove_net::types::{FlowKey, HostId, LinkId};
-use clove_net::{HostCtx, HostLogic, Network};
+use clove_net::{HostCtx, HostLogic, Network, PacketId};
 use clove_sim::{Duration, EventQueue, Time};
 use proptest::prelude::*;
 use rustc_hash::FxHashMap;
@@ -21,7 +21,9 @@ use rustc_hash::FxHashMap;
 struct Sink;
 
 impl HostLogic for Sink {
-    fn on_packet(&mut self, _: HostId, _: Packet, _: &mut HostCtx<'_>) {}
+    fn on_packet(&mut self, _: HostId, pkt: PacketId, ctx: &mut HostCtx<'_>) {
+        ctx.take(pkt);
+    }
     fn on_timer(&mut self, _: HostId, _: u64, _: &mut HostCtx<'_>) {}
 }
 

@@ -28,7 +28,6 @@
 //! same-timestamp batch to the run loop as one allocation swap.
 
 use crate::time::Time;
-use clove_telemetry::Histogram;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::mem;
@@ -77,39 +76,50 @@ pub enum QueueBackend {
 /// set gets and how far ahead of "now" events are scheduled. Both feed wheel
 /// bucket sizing (recorded in `BENCH_baseline.json`) so the level geometry is
 /// tuned from measured data rather than guesses.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueProfile {
     /// High-water mark of pending events.
     pub peak_pending: u64,
     /// Push-to-pop delay histogram over `at − last_popped_time` in ns: how
     /// far into the future of the queue's head each event was scheduled —
     /// exactly the offset distribution that decides which wheel level absorbs
-    /// the event. Stored as the shared log-linear streaming histogram; the
-    /// log2 view consumed by `BENCH_baseline.json` comes out of
-    /// [`QueueProfile::trimmed_hist`] with bit-identical counts to the old
-    /// `64 - delay.leading_zeros()` bucketing.
-    pub delay_hist: Histogram,
+    /// the event. Log2 buckets indexed by `64 - delay.leading_zeros()`:
+    /// bucket 0 counts zero delays, bucket `k ≥ 1` delays in
+    /// `[2^(k-1), 2^k)` ns. One increment per push, since this runs on
+    /// every scheduled event.
+    pub delay_log2: [u64; 65],
+}
+
+impl Default for QueueProfile {
+    fn default() -> QueueProfile {
+        QueueProfile { peak_pending: 0, delay_log2: [0; 65] }
+    }
 }
 
 impl QueueProfile {
+    /// Count one scheduling delay.
+    #[inline]
+    fn record(&mut self, delay_ns: u64) {
+        self.delay_log2[(64 - delay_ns.leading_zeros()) as usize] += 1;
+    }
+
     /// Fold another profile into this one (cross-cell aggregation).
     pub fn merge(&mut self, other: &QueueProfile) {
         self.peak_pending = self.peak_pending.max(other.peak_pending);
-        self.delay_hist.merge(&other.delay_hist);
+        for (mine, theirs) in self.delay_log2.iter_mut().zip(&other.delay_log2) {
+            *mine += theirs;
+        }
     }
 
-    /// Log2 aggregation of the delay histogram (bucket 0 = zero-delay,
-    /// bucket `k ≥ 1` = delays in `[2^(k-1), 2^k)` ns) with trailing empty
-    /// buckets dropped.
+    /// The delay histogram with trailing empty buckets dropped.
     pub fn trimmed_hist(&self) -> Vec<u64> {
-        let full = self.delay_hist.log2_counts();
-        let last = full.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
-        full[..last].to_vec()
+        let last = self.delay_log2.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
+        self.delay_log2[..last].to_vec()
     }
 
     /// Total events profiled.
     pub fn total(&self) -> u64 {
-        self.delay_hist.count()
+        self.delay_log2.iter().sum()
     }
 }
 
@@ -453,8 +463,7 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pushed += 1;
-        let delay = at.0.saturating_sub(self.last_pop);
-        self.profile.delay_hist.record(delay);
+        self.profile.record(at.0.saturating_sub(self.last_pop));
         let ev = ScheduledEvent { at, seq, event };
         match &mut self.core {
             Core::Wheel(w) => w.push(ev),
@@ -846,21 +855,20 @@ mod tests {
         q.push(Time::from_nanos(1), 1); // delay 1 → bucket 1
         q.push(Time::from_nanos(1000), 2); // delay 1000 → bucket 10
         assert_eq!(q.profile().peak_pending, 3);
-        let log2 = q.profile().delay_hist.log2_counts();
+        let log2 = q.profile().delay_log2;
         assert_eq!(log2[0], 1);
         assert_eq!(log2[1], 1);
         assert_eq!(log2[10], 1);
         assert_eq!(q.profile().total(), 3);
         assert_eq!(q.profile().trimmed_hist().len(), 11);
-        let mut hist = Histogram::new();
+        let mut other = QueueProfile { peak_pending: 1, ..QueueProfile::default() };
         for _ in 0..5 {
-            hist.record(0);
+            other.record(0);
         }
-        let other = QueueProfile { peak_pending: 1, delay_hist: hist };
         let mut merged = q.profile().clone();
         merged.merge(&other);
         assert_eq!(merged.peak_pending, 3);
-        assert_eq!(merged.delay_hist.log2_counts()[0], 6);
+        assert_eq!(merged.delay_log2[0], 6);
     }
 
     #[test]

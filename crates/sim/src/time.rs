@@ -111,9 +111,12 @@ impl Duration {
     /// `bytes * 8 * 1e9 / rate_bps` nanoseconds.
     pub fn for_bytes_at(bytes: u64, rate_bps: u64) -> Duration {
         assert!(rate_bps > 0, "link rate must be positive");
-        // bytes * 8 * 1e9 can overflow u64 for multi-GB frames; use u128.
-        let ns = (bytes as u128 * 8 * 1_000_000_000) / rate_bps as u128;
-        Duration(ns.min(u64::MAX as u128) as u64)
+        match bytes.checked_mul(8_000_000_000) {
+            Some(bits_ns) => Duration(bits_ns / rate_bps),
+            // Multi-GB frames overflow u64; the slow u128 division is only
+            // paid there.
+            None => Duration(((bytes as u128 * 8_000_000_000) / rate_bps as u128).min(u64::MAX as u128) as u64),
+        }
     }
 }
 
@@ -223,6 +226,26 @@ mod tests {
         assert_eq!(Duration::for_bytes_at(1500, 10_000_000_000), Duration::from_nanos(1200));
         // 1500 bytes at 1 Gbps = 12 us.
         assert_eq!(Duration::for_bytes_at(1500, 1_000_000_000), Duration::from_micros(12));
+    }
+
+    #[test]
+    fn serialization_delay_matches_u128_formula() {
+        let reference = |bytes: u64, rate: u64| Duration(((bytes as u128 * 8 * 1_000_000_000) / rate as u128).min(u64::MAX as u128) as u64);
+        // Largest size whose bit-nanoseconds still fit in u64.
+        let threshold = u64::MAX / 8_000_000_000;
+        let sizes = [0, 1, 64, 1500, 9000, threshold - 1, threshold, threshold + 1];
+        let nominal = [1_000_000_000u64, 10_000_000_000, 40_000_000_000];
+        for &rate in &nominal {
+            // Degraded rates as `Link` derives them from a rate fraction.
+            for fraction in [1.0, 0.5, 0.3, 0.1, 0.001] {
+                let rate = ((rate as f64 * fraction) as u64).max(1);
+                for &bytes in &sizes {
+                    assert_eq!(Duration::for_bytes_at(bytes, rate), reference(bytes, rate), "{bytes} B at {rate} b/s");
+                }
+            }
+        }
+        assert!(threshold.checked_mul(8_000_000_000).is_some());
+        assert!((threshold + 1).checked_mul(8_000_000_000).is_none());
     }
 
     #[test]

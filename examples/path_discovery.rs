@@ -13,7 +13,7 @@ use clove::net::fabric::Event;
 use clove::net::packet::PacketKind;
 use clove::net::topology::LeafSpine;
 use clove::net::types::{HostId, NodeId, SwitchId};
-use clove::net::{HostCtx, HostLogic, Network};
+use clove::net::{HostCtx, HostLogic, Network, PacketId};
 use clove::sim::{EventQueue, Time};
 
 /// Host logic that only feeds probe replies to the daemon on host 0.
@@ -23,7 +23,8 @@ struct ProbeOnly {
 }
 
 impl HostLogic for ProbeOnly {
-    fn on_packet(&mut self, host: HostId, pkt: clove::net::Packet, _ctx: &mut HostCtx<'_>) {
+    fn on_packet(&mut self, host: HostId, pkt: PacketId, ctx: &mut HostCtx<'_>) {
+        let pkt = ctx.take(pkt);
         if host != HostId(0) {
             return;
         }

@@ -7,7 +7,7 @@ use clove::net::fabric::Event;
 use clove::net::packet::{Encap, Packet, PacketKind};
 use clove::net::topology::{FatTree, LeafSpine, Topology};
 use clove::net::types::{FlowKey, HostId, LinkId, NodeId, SwitchId};
-use clove::net::{switch::FabricScheme, HostCtx, HostLogic, Network};
+use clove::net::{switch::FabricScheme, HostCtx, HostLogic, Network, PacketId};
 use clove::sim::{Duration, EventQueue, Time};
 
 struct ProbeSink {
@@ -15,7 +15,8 @@ struct ProbeSink {
 }
 
 impl HostLogic for ProbeSink {
-    fn on_packet(&mut self, host: HostId, pkt: Packet, _ctx: &mut HostCtx<'_>) {
+    fn on_packet(&mut self, host: HostId, pkt: PacketId, ctx: &mut HostCtx<'_>) {
+        let pkt = ctx.take(pkt);
         if host == self.daemon.host {
             if let PacketKind::ProbeReply { probe_id, ttl_sent, switch, ingress } = pkt.kind {
                 self.daemon.on_reply(probe_id, ttl_sent, switch, ingress);
